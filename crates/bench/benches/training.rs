@@ -31,7 +31,7 @@ use recovery_core::error_type::{ErrorType, ErrorTypeRanking};
 use recovery_core::evaluate::time_ordered_split;
 use recovery_core::experiment::ExperimentContext;
 use recovery_core::selection_tree::{SelectionTreeConfig, SelectionTreeTrainer};
-use recovery_core::trainer::{OfflineTrainer, TrainBackend, TrainerConfig};
+use recovery_core::trainer::{OfflineTrainer, TrainerConfig};
 use recovery_mdp::{DenseEnvironment, DenseQTable, QLearning, QLearningConfig};
 use recovery_simlog::{
     ActionRecord, GeneratorConfig, LogGenerator, MachineId, RecoveryProcess, RepairAction, SimTime,
@@ -106,13 +106,20 @@ fn bench_training(c: &mut Criterion) {
         b.iter(|| std::hint::black_box(trainer.train_type(w.top_type).unwrap().1.sweeps))
     });
 
-    // Ablation: the hash-map table on the identical workload — the
+    // Ablation: the hash-table reference learner driven directly over
+    // the generic replay environment on the identical workload — the
     // criterion-level view of the dense-vs-hash comparison the measured
-    // arm records (the default backend above is dense).
-    group.bench_function("tabular_2k_sweeps_hash_backend", |b| {
-        let config = capped(TrainerConfig::fast(), 2_000).with_backend(TrainBackend::Hash);
-        let trainer = OfflineTrainer::new(&w.train, config);
-        b.iter(|| std::hint::black_box(trainer.train_type(w.top_type).unwrap().1.sweeps))
+    // arm records (the production path above is dense).
+    group.bench_function("tabular_2k_sweeps_hash_reference", |b| {
+        let trainer = OfflineTrainer::new(&w.train, capped(TrainerConfig::fast(), 2_000));
+        let mut learning = trainer.config().learning.clone();
+        learning.max_steps = trainer.config().max_attempts;
+        let driver = QLearning::new(learning);
+        b.iter(|| {
+            let mut env = trainer.replay_env(w.top_type).expect("type has processes");
+            let mut rng = StdRng::seed_from_u64(LOOP_SEED);
+            std::hint::black_box(driver.train(&mut env, &mut rng).episodes)
+        })
     });
 
     // Ablation: the paper-faithful learner (forward updates, no pruning)

@@ -4,10 +4,11 @@
 
 use recovery_core::experiment::{
     fig3_cohesion_curve, fig5_type_counts, fig6_type_downtime, fig7_platform_validation,
-    sweep_comparison_observed, table1_example, ExperimentContext, TestRun, TestRunConfig,
+    sweep_comparison, table1_example, ExperimentContext, TestRun, TestRunConfig,
 };
 use recovery_core::selection_tree::SelectionTreeConfig;
 use recovery_core::trainer::TrainerConfig;
+use recovery_telemetry::ObserverHandle;
 
 fn main() {
     let scale = recovery_bench::scale_from_args(0.25);
@@ -94,11 +95,13 @@ fn main() {
         .map(|&f| {
             eprintln!("# training at fraction {f} ...");
             let _phase = timings.phase("test_run");
-            TestRun::execute_in_context_observed(
+            TestRun::execute(
                 &recovery_bench::figure_test_config(f).with_threads(threads),
                 &ctx,
                 timings.telemetry(),
+                &ObserverHandle::none(),
             )
+            .0
         })
         .collect();
 
@@ -173,7 +176,7 @@ fn main() {
     .with_threads(threads);
     let cmp = {
         let _phase = timings.phase("sweep_comparison");
-        sweep_comparison_observed(
+        sweep_comparison(
             &config,
             &SelectionTreeConfig::default(),
             &ctx,

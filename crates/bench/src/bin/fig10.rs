@@ -4,6 +4,7 @@
 //! training data.
 
 use recovery_core::experiment::TestRun;
+use recovery_telemetry::{ObserverHandle, Telemetry};
 
 fn main() {
     let scale = recovery_bench::scale_from_args(0.25);
@@ -12,7 +13,13 @@ fn main() {
         .iter()
         .map(|&f| {
             eprintln!("# training at fraction {f} ...");
-            TestRun::execute_in_context(&recovery_bench::figure_test_config(f), &ctx)
+            TestRun::execute(
+                &recovery_bench::figure_test_config(f),
+                &ctx,
+                &Telemetry::disabled(),
+                &ObserverHandle::none(),
+            )
+            .0
         })
         .collect();
     let rows: Vec<Vec<String>> = (0..ctx.types.len())

@@ -4,13 +4,19 @@
 //! whose test set contains unseen patterns; with more data they agree.
 
 use recovery_core::experiment::TestRun;
+use recovery_telemetry::{ObserverHandle, Telemetry};
 
 fn main() {
     let scale = recovery_bench::scale_from_args(0.25);
     let ctx = recovery_bench::prepare(scale);
     for (panel, fraction) in [("(a)", 0.2), ("(b)", 0.4)] {
         eprintln!("# training at fraction {fraction} ...");
-        let run = TestRun::execute_in_context(&recovery_bench::figure_test_config(fraction), &ctx);
+        let (run, _) = TestRun::execute(
+            &recovery_bench::figure_test_config(fraction),
+            &ctx,
+            &Telemetry::disabled(),
+            &ObserverHandle::none(),
+        );
         let rows: Vec<Vec<String>> = (0..ctx.types.len())
             .map(|i| {
                 vec![

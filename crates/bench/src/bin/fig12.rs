@@ -4,6 +4,7 @@
 //! of the original downtime at fraction 0.4).
 
 use recovery_core::experiment::TestRun;
+use recovery_telemetry::{ObserverHandle, Telemetry};
 
 fn main() {
     let scale = recovery_bench::scale_from_args(0.25);
@@ -11,7 +12,12 @@ fn main() {
     let mut rows = Vec::new();
     for (i, &f) in recovery_bench::TEST_FRACTIONS.iter().enumerate() {
         eprintln!("# training at fraction {f} ...");
-        let run = TestRun::execute_in_context(&recovery_bench::figure_test_config(f), &ctx);
+        let (run, _) = TestRun::execute(
+            &recovery_bench::figure_test_config(f),
+            &ctx,
+            &Telemetry::disabled(),
+            &ObserverHandle::none(),
+        );
         let user = run.hybrid_report.total_actual();
         let hybrid = run.hybrid_report.total_estimated();
         rows.push(vec![

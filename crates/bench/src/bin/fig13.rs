@@ -3,7 +3,7 @@
 //! method runs value-convergence detection under a 160k sweep cap; the
 //! selection tree stops at candidate stability and scans exactly.
 
-use recovery_core::experiment::{sweep_comparison_observed, TestRunConfig};
+use recovery_core::experiment::{sweep_comparison, TestRunConfig};
 use recovery_core::selection_tree::SelectionTreeConfig;
 use recovery_core::trainer::TrainerConfig;
 
@@ -24,7 +24,7 @@ fn main() {
     eprintln!(
         "# training all types twice (standard + selection tree); this is the slow figure ..."
     );
-    let cmp = sweep_comparison_observed(
+    let cmp = sweep_comparison(
         &config,
         &SelectionTreeConfig::default(),
         &ctx,

@@ -6,6 +6,7 @@
 use recovery_core::experiment::{sweep_comparison, TestRunConfig};
 use recovery_core::selection_tree::SelectionTreeConfig;
 use recovery_core::trainer::TrainerConfig;
+use recovery_telemetry::Telemetry;
 
 fn main() {
     let scale = recovery_bench::scale_from_args(0.25);
@@ -19,7 +20,12 @@ fn main() {
     eprintln!(
         "# training all types twice (standard + selection tree); this is the slow figure ..."
     );
-    let cmp = sweep_comparison(&config, &SelectionTreeConfig::default(), &ctx);
+    let cmp = sweep_comparison(
+        &config,
+        &SelectionTreeConfig::default(),
+        &ctx,
+        &Telemetry::disabled(),
+    );
     let rows: Vec<Vec<String>> = cmp
         .rows
         .iter()

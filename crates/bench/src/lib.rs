@@ -21,7 +21,7 @@ use recovery_core::parallel::WorkerPool;
 use recovery_core::trainer::TrainerConfig;
 use recovery_diagnostics::{assemble, DiagnosticsRecorder, RunReportInputs};
 use recovery_simlog::{GeneratedLog, GeneratorConfig, LogGenerator, SymptomCatalog};
-use recovery_telemetry::{JsonlSink, Span, Telemetry};
+use recovery_telemetry::{JsonlSink, ObserverHandle, Span, Telemetry};
 
 /// The paper's four training fractions (tests 1–4).
 pub const TEST_FRACTIONS: [f64; 4] = [0.2, 0.4, 0.6, 0.8];
@@ -155,8 +155,8 @@ pub fn diagnostics_out_from_args() -> Option<String> {
 
 /// Runs one figure `TestRun`, attaching a [`DiagnosticsRecorder`] and
 /// writing `run-report-f<NN>.{json,md}` into `diagnostics_out` when it is
-/// set. With `None` this is exactly `TestRun::execute_in_context` —
-/// diagnostics never change the figures.
+/// set. With `None` this is a plain [`TestRun::execute`] — diagnostics
+/// never change the figures.
 pub fn figure_test_run(
     config: &TestRunConfig,
     ctx: &ExperimentContext,
@@ -164,15 +164,10 @@ pub fn figure_test_run(
     diagnostics_out: Option<&str>,
 ) -> TestRun {
     let Some(dir) = diagnostics_out else {
-        return TestRun::execute_in_context(config, ctx);
+        return TestRun::execute(config, ctx, &Telemetry::disabled(), &ObserverHandle::none()).0;
     };
     let recorder = DiagnosticsRecorder::new();
-    let (run, policy) = TestRun::execute_in_context_instrumented(
-        config,
-        ctx,
-        &Telemetry::disabled(),
-        &recorder.handle(),
-    );
+    let (run, policy) = TestRun::execute(config, ctx, &Telemetry::disabled(), &recorder.handle());
     let report = assemble(&RunReportInputs {
         config: &config.trainer,
         train_fraction: config.train_fraction,

@@ -20,7 +20,7 @@ use recovery_core::pipeline::{
 use recovery_core::platform::{CostEstimation, SimulationPlatform};
 use recovery_core::policy::{HybridPolicy, LivePolicy, TrainedPolicy, UserStatePolicy};
 use recovery_core::selection_tree::{SelectionTreeConfig, SelectionTreeTrainer};
-use recovery_core::trainer::{OfflineTrainer, TrainBackend, TrainerConfig};
+use recovery_core::trainer::{OfflineTrainer, TrainerConfig};
 use recovery_diagnostics::{
     assemble, diff_policies, explain_policy, DiagnosticsRecorder, ExplainOptions, RunReportInputs,
 };
@@ -38,10 +38,7 @@ use crate::session::Session;
 /// `autorecover generate` — simulate and write a recovery log.
 pub fn generate(args: &Args, session: &Session) -> Result<(), String> {
     let out = args.flag("out").ok_or("generate needs --out <file>")?;
-    let scale: f64 = args.flag_or("scale", 0.05)?;
-    if scale <= 0.0 {
-        return Err("--scale must be positive".into());
-    }
+    let scale = parse_scale(args, 0.05)?;
     let seed: u64 = args.flag_or("seed", 0x2007_D50Au64)?;
     session.info(&format!(
         "generating synthetic cluster log (scale {scale}, seed {seed}) ..."
@@ -257,16 +254,47 @@ fn parse_fault_plan(args: &Args) -> Result<LoopFaultPlan, String> {
     Ok(plan)
 }
 
-/// Parses `--backend`: the Q-table representation of the training hot
-/// path — `dense` (packed-state flat arrays, the default) or `hash`
-/// (the reference `HashMap` tables). Trained policies, run reports, and
-/// traces are byte-identical either way; the flag exists for the
-/// dense-equivalence CI job and for performance comparisons.
-fn parse_backend(args: &Args) -> Result<TrainBackend, String> {
-    match args.flag("backend") {
-        None => Ok(TrainBackend::default()),
-        Some(v) => v.parse(),
+/// Parses `--scale`, the cluster-size multiplier of the paper preset
+/// (1 = 2,000 machines): positive and finite, checked before it reaches
+/// `GeneratorConfig::paper_scale`, which asserts it.
+fn parse_scale(args: &Args, default: f64) -> Result<f64, String> {
+    let scale: f64 = args.flag_or("scale", default)?;
+    if scale > 0.0 && scale.is_finite() {
+        Ok(scale)
+    } else {
+        Err("--scale must be positive".into())
     }
+}
+
+/// The fault catalog `LogGenerator` draws for `generator` (same seed
+/// derivation), so `simulate`, `loop`, and `serve` resolve symptom names
+/// against the fault population of a log generated with the same
+/// `--seed`.
+fn fault_catalog(generator: &GeneratorConfig) -> FaultCatalog {
+    let catalog_seed = generator.seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0x0CA7_A106;
+    generator.catalog.generate(catalog_seed)
+}
+
+/// Builds the continuous loop from the flags `loop` and `serve` share
+/// (`--windows`, `--scale`, `--seed`, `--threads`, `--fault-*`): one
+/// builder so a served loop is reproduced byte for byte by a `loop` run
+/// with the same flags.
+fn loop_config(args: &Args) -> Result<(FaultCatalog, ContinuousLoopConfig), String> {
+    let windows: usize = args.flag_or("windows", 4usize)?;
+    if windows < 2 {
+        return Err("--windows must be at least 2".into());
+    }
+    let seed: u64 = args.flag_or("seed", 0x2007_D50Au64)?;
+    let generator = GeneratorConfig::paper_scale(parse_scale(args, 0.02)?).with_seed(seed);
+    let catalog = fault_catalog(&generator);
+    let config = ContinuousLoopConfig {
+        windows,
+        seed,
+        threads: parse_threads(args)?,
+        faults: parse_fault_plan(args)?,
+        ..ContinuousLoopConfig::new(generator.cluster)
+    };
+    Ok((catalog, config))
 }
 
 fn trainer_config(method: &str) -> Result<TrainerConfig, String> {
@@ -300,9 +328,8 @@ pub fn train(args: &Args, session: &Session) -> Result<(), String> {
         train_set.len(),
         ctx.types.len()
     ));
-    let backend = parse_backend(args)?;
-    let config = trainer_config(&method)?.with_backend(backend);
-    session.debug(&format!("trainer config: {config} (backend {backend})"));
+    let config = trainer_config(&method)?;
+    session.debug(&format!("trainer config: {config}"));
     if session.telemetry.is_enabled() {
         session.telemetry.emit(&config.to_event());
     }
@@ -407,7 +434,7 @@ pub fn simulate(args: &Args, session: &Session) -> Result<(), String> {
     let policy_path = args
         .positional(0)
         .ok_or("expected a policy file argument")?;
-    let scale: f64 = args.flag_or("scale", 0.02f64)?;
+    let scale = parse_scale(args, 0.02)?;
     // The seed selects the *fault catalog*: pass the same --seed that
     // generated the training log, or the policy's symptom names will
     // resolve to a different fault population.
@@ -420,8 +447,7 @@ pub fn simulate(args: &Args, session: &Session) -> Result<(), String> {
     // The live cluster shares the catalog of the generator preset, so the
     // policy's symptom names resolve against the same fault population.
     let config = GeneratorConfig::paper_scale(scale).with_seed(seed);
-    let catalog_seed = config.seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0x0CA7_A106;
-    let catalog = config.catalog.generate(catalog_seed);
+    let catalog = fault_catalog(&config);
     let mut symptoms = catalog.symptoms().clone();
     let trained = policy_from_text(&policy_text, &mut symptoms).map_err(|e| e.to_string())?;
 
@@ -494,14 +520,12 @@ pub fn report(args: &Args, session: &Session) -> Result<(), String> {
         "{:>5}  {:>8}  {:>12}  {:>12}  {:>9}  {:>8}",
         "test", "fraction", "trained/user", "hybrid/user", "coverage", "sweeps"
     );
-    let backend = parse_backend(args)?;
     for (i, fraction) in [0.2, 0.4, 0.6, 0.8].into_iter().enumerate() {
         let trainer = if fast {
             TrainerConfig::fast()
         } else {
             trainer_config(&method)?
-        }
-        .with_backend(backend);
+        };
         let config = TestRunConfig {
             minp,
             top_k,
@@ -516,7 +540,7 @@ pub fn report(args: &Args, session: &Session) -> Result<(), String> {
             .map_or_else(recovery_telemetry::ObserverHandle::none, |r| r.handle());
         let (run, policy) = {
             let _span = session.telemetry.span("test_run");
-            TestRun::execute_in_context_instrumented(&config, &ctx, &session.telemetry, &extra)
+            TestRun::execute(&config, &ctx, &session.telemetry, &extra)
         };
         if let (Some(dir), Some(recorder)) = (&diagnostics_out, &recorder) {
             write_diagnostics(
@@ -815,28 +839,11 @@ fn render_run_report(
 /// alternate observation windows and retraining, reporting the realized
 /// MTTR per window.
 pub fn continuous_loop(args: &Args, session: &Session) -> Result<(), String> {
-    let windows: usize = args.flag_or("windows", 4usize)?;
-    let scale: f64 = args.flag_or("scale", 0.02f64)?;
-    let seed: u64 = args.flag_or("seed", 0x2007_D50Au64)?;
-    let threads = parse_threads(args)?;
     let policy_out = args.flag("policy-out").map(str::to_owned);
-    if windows < 2 {
-        return Err("--windows must be at least 2".into());
-    }
-    let generator = GeneratorConfig::paper_scale(scale).with_seed(seed);
-    let catalog_seed = generator.seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0x0CA7_A106;
-    let catalog = generator.catalog.generate(catalog_seed);
-    let config = ContinuousLoopConfig {
-        windows,
-        seed,
-        threads,
-        faults: parse_fault_plan(args)?,
-        trainer: TrainerConfig::default().with_backend(parse_backend(args)?),
-        ..ContinuousLoopConfig::new(generator.cluster)
-    };
+    let (catalog, config) = loop_config(args)?;
     session.info(&format!(
-        "running {windows} observation windows of {} machines ...",
-        config.cluster.machines
+        "running {} observation windows of {} machines ...",
+        config.windows, config.cluster.machines
     ));
     // The summary table surfaces pool/fallback counters even without
     // --metrics-out: fall back to a local registry-only handle.
@@ -978,6 +985,12 @@ pub fn serve(args: &Args, session: &Session) -> Result<(), String> {
     if max_inflight == 0 {
         return Err("--max-inflight must be at least 1".into());
     }
+    // Without --policy the daemon serves a live loop; its flags are
+    // validated before binding so a bad one never starts the daemon.
+    let live_loop = match args.flag("policy") {
+        None => Some(loop_config(args)?),
+        Some(_) => None,
+    };
     // Serving is observability-first: even without --metrics-out the
     // daemon's /metrics, /healthz, and /events routes should be live, so
     // fall back to a local registry+bus handle rather than a disabled one.
@@ -1052,28 +1065,11 @@ pub fn serve(args: &Args, session: &Session) -> Result<(), String> {
     // seeding, and fault flags match `autorecover loop` exactly, so an
     // unobserved loop with the same flags reproduces the served policy
     // byte for byte.
-    let windows: usize = args.flag_or("windows", 4usize)?;
-    let scale: f64 = args.flag_or("scale", 0.02f64)?;
-    let seed: u64 = args.flag_or("seed", 0x2007_D50Au64)?;
-    let threads = parse_threads(args)?;
     let policy_out = args.flag("policy-out").map(str::to_owned);
-    if windows < 2 {
-        return Err("--windows must be at least 2".into());
-    }
-    let generator = GeneratorConfig::paper_scale(scale).with_seed(seed);
-    let catalog_seed = generator.seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0x0CA7_A106;
-    let catalog = generator.catalog.generate(catalog_seed);
-    let config = ContinuousLoopConfig {
-        windows,
-        seed,
-        threads,
-        faults: parse_fault_plan(args)?,
-        trainer: TrainerConfig::default().with_backend(parse_backend(args)?),
-        ..ContinuousLoopConfig::new(generator.cluster)
-    };
+    let (catalog, config) = live_loop.expect("loop mode built its loop config");
     session.info(&format!(
-        "running {windows} observation windows of {} machines beside the daemon ...",
-        config.cluster.machines
+        "running {} observation windows of {} machines beside the daemon ...",
+        config.windows, config.cluster.machines
     ));
     let (mut durable, _) = open_loop_controls(args)?;
     if let Some(durable) = &durable {

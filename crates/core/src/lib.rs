@@ -31,14 +31,16 @@
 //!    and figure, shared by the benchmark binaries and the CLI.
 //!
 //! ```no_run
-//! use recovery_core::experiment::{TestRun, TestRunConfig};
+//! use recovery_core::experiment::{ExperimentContext, TestRun, TestRunConfig};
 //! use recovery_simlog::{GeneratorConfig, LogGenerator};
+//! use recovery_telemetry::{ObserverHandle, Telemetry};
 //!
 //! // Generate a synthetic cluster log, train on 40% of it, evaluate on
 //! // the remaining 60% — the paper's "test 2".
 //! let mut generated = LogGenerator::new(GeneratorConfig::small()).generate();
-//! let processes = generated.log.split_processes();
-//! let run = TestRun::execute(&TestRunConfig::new(0.4), &processes);
+//! let ctx = ExperimentContext::prepare(generated.log.split_processes(), 0.1, 40);
+//! let config = TestRunConfig::new(0.4);
+//! let (run, _) = TestRun::execute(&config, &ctx, &Telemetry::disabled(), &ObserverHandle::none());
 //! println!(
 //!     "trained policy downtime: {:.2}% of user-defined",
 //!     100.0 * run.trained_report.overall_relative_cost()

@@ -3,8 +3,8 @@
 //! The paper's framework is cyclic: event monitoring feeds a recovery
 //! log, offline policy generation learns from the log, the generated
 //! policy drives error recovery, and its outcomes land back in the log.
-//! [`run_continuous_loop`] runs that cycle over consecutive observation
-//! windows of a (simulated) cluster:
+//! [`run_continuous_loop_controlled`] runs that cycle over consecutive
+//! observation windows of a (simulated) cluster:
 //!
 //! * **window 0** runs under the production cheapest-first policy and
 //!   seeds the log;
@@ -227,75 +227,9 @@ pub struct LoopRun {
     pub interrupted: bool,
 }
 
-/// Runs the closed loop against `catalog` and returns one row per window.
-///
-/// ```no_run
-/// use recovery_core::pipeline::{run_continuous_loop, ContinuousLoopConfig};
-/// use recovery_simlog::{CatalogConfig, ClusterConfig};
-///
-/// let catalog = CatalogConfig::default().with_fault_types(10).generate(7);
-/// let config = ContinuousLoopConfig::new(ClusterConfig::default());
-/// let outcomes = run_continuous_loop(&catalog, &config);
-/// // Window 0 runs the production ladder; later windows run the
-/// // retrained policy and should realize a lower MTTR.
-/// assert!(!outcomes[0].learned_policy);
-/// assert!(outcomes[1].learned_policy);
-/// ```
-///
-/// # Panics
-///
-/// Panics if the configuration is invalid.
-pub fn run_continuous_loop(
-    catalog: &FaultCatalog,
-    config: &ContinuousLoopConfig,
-) -> Vec<WindowOutcome> {
-    run_continuous_loop_full(catalog, config, &Telemetry::disabled()).outcomes
-}
-
-/// [`run_continuous_loop`] with telemetry: each window's simulation and
-/// retraining phases are recorded as spans, a `window` event is emitted
-/// per completed window, and retraining reports sweep-level hooks through
-/// `telemetry`'s observer. Purely observational — outcomes are identical
-/// to the unobserved run.
-///
-/// # Panics
-///
-/// Panics if the configuration is invalid.
-pub fn run_continuous_loop_observed(
-    catalog: &FaultCatalog,
-    config: &ContinuousLoopConfig,
-    telemetry: &Telemetry,
-) -> Vec<WindowOutcome> {
-    run_continuous_loop_full(catalog, config, telemetry).outcomes
-}
-
-/// [`run_continuous_loop_observed`] returning the final trained policy
-/// alongside the window rows, and driving the live observability plane:
-/// the telemetry handle's [`HealthState`](recovery_telemetry::HealthState)
-/// tracks the loop phase and last window, every window lands in the
-/// `loop.window.ms` wall-time histogram, and the per-window `window`
-/// event carries the enriched summary (status, fallback reason, Q-delta
-/// tail of the retraining step, cumulative pool panic/retry and loop
-/// fallback counters).
-///
-/// All enriched `window` fields are wall-clock-free and thread-count
-/// invariant, preserving the byte-identity of event streams across
-/// `--threads` values (wall time goes only to the histogram).
-///
-/// # Panics
-///
-/// Panics if the configuration is invalid.
-pub fn run_continuous_loop_full(
-    catalog: &FaultCatalog,
-    config: &ContinuousLoopConfig,
-    telemetry: &Telemetry,
-) -> LoopRun {
-    run_continuous_loop_published(catalog, config, telemetry, &mut |_| {})
-}
-
 /// Everything the loop knows about a window the moment it completes,
 /// handed to the publication callback of
-/// [`run_continuous_loop_published`]. Borrows stay inside the callback:
+/// [`run_continuous_loop_controlled`]. Borrows stay inside the callback:
 /// a serving plane is expected to copy what it needs into its own
 /// immutable snapshot.
 #[derive(Debug)]
@@ -316,62 +250,6 @@ pub struct WindowPublication<'a> {
     pub accumulated: &'a [RecoveryProcess],
 }
 
-/// [`run_continuous_loop_full`] with a per-window publication callback,
-/// the seam a policy-serving daemon hooks to hot-swap snapshots: the
-/// callback runs after each window's status, health record, and `window`
-/// event are final, and sees a freshly retrained policy only for
-/// `Trained` windows. The callback is purely additive — outcomes and
-/// events are byte-identical to the unpublished run.
-///
-/// # Panics
-///
-/// Panics if the configuration is invalid.
-pub fn run_continuous_loop_published(
-    catalog: &FaultCatalog,
-    config: &ContinuousLoopConfig,
-    telemetry: &Telemetry,
-    publish: &mut dyn FnMut(WindowPublication<'_>),
-) -> LoopRun {
-    run_continuous_loop_instrumented(
-        catalog,
-        config,
-        telemetry,
-        &mut |_| ObserverHandle::none(),
-        publish,
-    )
-}
-
-/// [`run_continuous_loop_published`] with a per-window observer seam:
-/// before each window's retraining step, `window_observer` is called
-/// with the window index and the handle it returns rides along with the
-/// telemetry observer for that retraining only. This is how the CLI
-/// attaches a fresh per-window `DiagnosticsRecorder` (the diagnostics
-/// crate sits above this one, so the recorder cannot be constructed
-/// here) and streams its convergence traces live. The seam is purely
-/// additive: outcomes, events, and policies are byte-identical to the
-/// uninstrumented run.
-///
-/// # Panics
-///
-/// Panics if the configuration is invalid.
-pub fn run_continuous_loop_instrumented(
-    catalog: &FaultCatalog,
-    config: &ContinuousLoopConfig,
-    telemetry: &Telemetry,
-    window_observer: &mut dyn FnMut(usize) -> ObserverHandle,
-    publish: &mut dyn FnMut(WindowPublication<'_>),
-) -> LoopRun {
-    run_continuous_loop_controlled(
-        catalog,
-        config,
-        telemetry,
-        window_observer,
-        publish,
-        &mut LoopControls::default(),
-    )
-    .expect("a loop without durability controls cannot fail")
-}
-
 /// External control inputs for [`run_continuous_loop_controlled`]: a
 /// cooperative stop flag (graceful shutdown checks it at every window
 /// boundary) and an optional durable state handle (journal + checkpoint
@@ -389,9 +267,56 @@ pub struct LoopControls<'a> {
     pub durable: Option<&'a mut crate::durable::DurableLoop>,
 }
 
-/// [`run_continuous_loop_instrumented`] under [`LoopControls`]: the
-/// durability-aware, stop-aware entry point behind
-/// `autorecover loop --state-dir`.
+/// Runs the closed loop against `catalog`: one [`WindowOutcome`] per
+/// window plus the last trained policy. This is the loop's single entry
+/// point; every input beyond the catalog and configuration is a seam
+/// that a plain run leaves inert.
+///
+/// ```no_run
+/// use recovery_core::pipeline::{run_continuous_loop_controlled, ContinuousLoopConfig, LoopControls};
+/// use recovery_simlog::{CatalogConfig, ClusterConfig};
+/// use recovery_telemetry::{ObserverHandle, Telemetry};
+///
+/// let catalog = CatalogConfig::default().with_fault_types(10).generate(7);
+/// let config = ContinuousLoopConfig::new(ClusterConfig::default());
+/// let run = run_continuous_loop_controlled(
+///     &catalog,
+///     &config,
+///     &Telemetry::disabled(),
+///     &mut |_| ObserverHandle::none(),
+///     &mut |_| {},
+///     &mut LoopControls::default(),
+/// )
+/// .expect("an in-memory loop cannot fail");
+/// // Window 0 runs the production ladder; later windows run the
+/// // retrained policy and should realize a lower MTTR.
+/// assert!(!run.outcomes[0].learned_policy);
+/// assert!(run.outcomes[1].learned_policy);
+/// ```
+///
+/// * **`telemetry`** — each window's simulation and retraining phases
+///   are recorded as spans, retraining reports sweep-level hooks through
+///   its observer, and its [`HealthState`](recovery_telemetry::HealthState)
+///   tracks the loop phase and last window. Every window lands in the
+///   `loop.window.ms` wall-time histogram, and a `window` event carries
+///   the window summary (status, fallback reason, Q-delta tail of the
+///   retraining step, cumulative pool panic/retry and loop fallback
+///   counters). All event fields are wall-clock-free and thread-count
+///   invariant, so event streams are byte-identical across `--threads`.
+/// * **`window_observer`** — called with the window index before each
+///   retraining step; the handle it returns rides along with the
+///   telemetry observer for that retraining only. This is how the CLI
+///   attaches a fresh per-window `DiagnosticsRecorder` (the diagnostics
+///   crate sits above this one) and streams its convergence traces live.
+/// * **`publish`** — the seam a policy-serving daemon hooks to hot-swap
+///   snapshots: it runs after each window's status, health record, and
+///   `window` event are final, and sees a freshly retrained policy only
+///   for `Trained` windows.
+/// * **`controls`** — a cooperative stop flag and an optional durable
+///   state handle (see [`LoopControls`]).
+///
+/// Observation and publication are purely additive: outcomes, events,
+/// and policies are byte-identical with or without them.
 ///
 /// With a durable handle, the loop first resumes: journal records are
 /// replayed into the accumulated corpus (same split/sort sequence, same
@@ -763,6 +688,20 @@ mod tests {
     use super::*;
     use recovery_simlog::CatalogConfig;
 
+    /// A plain in-memory run: no observers, publication, or controls.
+    fn run_loop(catalog: &FaultCatalog, config: &ContinuousLoopConfig) -> Vec<WindowOutcome> {
+        run_continuous_loop_controlled(
+            catalog,
+            config,
+            &Telemetry::disabled(),
+            &mut |_| ObserverHandle::none(),
+            &mut |_| {},
+            &mut LoopControls::default(),
+        )
+        .expect("an in-memory loop cannot fail")
+        .outcomes
+    }
+
     fn small_cluster() -> ClusterConfig {
         ClusterConfig {
             machines: 60,
@@ -781,7 +720,7 @@ mod tests {
             trainer: TrainerConfig::fast(),
             ..ContinuousLoopConfig::new(small_cluster())
         };
-        let outcomes = run_continuous_loop(&catalog, &config);
+        let outcomes = run_loop(&catalog, &config);
         assert_eq!(outcomes.len(), 3);
         assert!(!outcomes[0].learned_policy);
         assert!(outcomes[1].learned_policy && outcomes[2].learned_policy);
@@ -809,8 +748,8 @@ mod tests {
             trainer: TrainerConfig::fast(),
             ..ContinuousLoopConfig::new(small_cluster())
         };
-        let a = run_continuous_loop(&catalog, &config);
-        let b = run_continuous_loop(&catalog, &config);
+        let a = run_loop(&catalog, &config);
+        let b = run_loop(&catalog, &config);
         assert_eq!(a, b);
     }
 
@@ -823,7 +762,7 @@ mod tests {
             trainer: TrainerConfig::fast(),
             ..ContinuousLoopConfig::new(small_cluster())
         };
-        let outcomes = run_continuous_loop(&catalog, &config);
+        let outcomes = run_loop(&catalog, &config);
         for w in &outcomes {
             assert_eq!(w.status, WindowStatus::Trained, "window {}", w.window);
             assert!(w.status.is_trained());
@@ -845,7 +784,7 @@ mod tests {
                 .with_empty_window(1),
             ..ContinuousLoopConfig::new(small_cluster())
         };
-        let outcomes = run_continuous_loop(&catalog, &config);
+        let outcomes = run_loop(&catalog, &config);
         assert_eq!(outcomes.len(), 2);
         for w in &outcomes {
             assert_eq!(
@@ -872,7 +811,7 @@ mod tests {
             faults: crate::fault::LoopFaultPlan::none().with_filter_blackout(0),
             ..ContinuousLoopConfig::new(small_cluster())
         };
-        let outcomes = run_continuous_loop(&catalog, &config);
+        let outcomes = run_loop(&catalog, &config);
         assert_eq!(
             outcomes[0].status.fallback_reason(),
             Some(FallbackReason::NoTrainableTypes)
@@ -906,6 +845,6 @@ mod tests {
             windows: 1,
             ..ContinuousLoopConfig::new(small_cluster())
         };
-        let _ = run_continuous_loop(&catalog, &config);
+        let _ = run_loop(&catalog, &config);
     }
 }

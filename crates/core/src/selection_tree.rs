@@ -29,7 +29,7 @@ use crate::error_type::ErrorType;
 use crate::exact::EmpiricalTypeModel;
 use crate::policy::TrainedPolicy;
 use crate::state::RecoveryState;
-use crate::trainer::{OfflineTrainer, TrainBackend, TypeTrainingStats};
+use crate::trainer::{OfflineTrainer, TypeTrainingStats};
 
 /// Configuration of the selection-tree trainer.
 #[derive(Debug, Clone, PartialEq)]
@@ -162,73 +162,41 @@ impl<'t, 'a> SelectionTreeTrainer<'t, 'a> {
         let mut rng = StdRng::seed_from_u64(
             0x005E_1EC7 ^ u64::from(et.symptom().index()).wrapping_mul(0x9E37_79B9_7F4A_7C15),
         );
+        let mut env = self.trainer.dense_replay_env(et).expect("non-empty type");
+        let codec = *env.codec();
+        let mut q = DenseQTable::new(codec.num_states(), RepairAction::COUNT);
+        // Dense action indexes follow `RepairAction::ALL` order, so ranked
+        // candidates tie-break exactly as on the canonical table.
+        let all: Vec<usize> = (0..RepairAction::COUNT).collect();
         let mut sweeps = 0u64;
         let mut previous: Option<HashMap<RecoveryState, Vec<RepairAction>>> = None;
         let mut stable = 0usize;
         let mut converged = false;
-        // Both backends run the same chunks off the same random stream
-        // and the same stability rule, so they stop at the same sweep
-        // count with bit-identical tables.
-        let q: QTable<RecoveryState, RepairAction> = match self.trainer.config().backend {
-            TrainBackend::Hash => {
-                let mut env = self.trainer.replay_env(et).expect("non-empty type");
-                let mut q = QTable::new();
-                while sweeps < self.config.max_sweeps {
-                    let result = driver.train_from_observed(&mut env, &mut rng, q, observer);
-                    q = result.q;
-                    sweeps += result.episodes;
-                    let snapshot = self.candidate_snapshot(et, &q);
-                    if previous.as_ref() == Some(&snapshot) {
-                        stable += 1;
-                        if stable >= self.config.stable_checks {
-                            converged = true;
-                            break;
-                        }
-                    } else {
-                        stable = 0;
-                    }
-                    previous = Some(snapshot);
-                }
-                q
+        let snapshot = loop {
+            let result = driver.train_dense_observed(&mut env, &mut rng, q, observer);
+            q = result.q;
+            sweeps += result.episodes;
+            let snapshot = self.candidate_snapshot(et, |s| {
+                q.ranked_actions(codec.encode(&s.tried()), &all)
+                    .into_iter()
+                    .map(|(a, v)| (RepairAction::ALL[a], v))
+                    .collect()
+            });
+            if previous.as_ref() == Some(&snapshot) {
+                stable += 1;
+                converged = stable >= self.config.stable_checks;
+            } else {
+                stable = 0;
             }
-            TrainBackend::Dense => {
-                let mut env = self.trainer.dense_replay_env(et).expect("non-empty type");
-                let codec = *env.codec();
-                let mut q = DenseQTable::new(codec.num_states(), RepairAction::COUNT);
-                // Dense action indexes in `RepairAction::ALL` order, so
-                // ranked candidates decode to the hash backend's lists.
-                let all: Vec<usize> = (0..RepairAction::COUNT).collect();
-                while sweeps < self.config.max_sweeps {
-                    let result = driver.train_dense_observed(&mut env, &mut rng, q, observer);
-                    q = result.q;
-                    sweeps += result.episodes;
-                    let snapshot = self.candidate_snapshot_with(et, |s| {
-                        q.ranked_actions(codec.encode(&s.tried()), &all)
-                            .into_iter()
-                            .map(|(a, v)| (RepairAction::ALL[a], v))
-                            .collect()
-                    });
-                    if previous.as_ref() == Some(&snapshot) {
-                        stable += 1;
-                        if stable >= self.config.stable_checks {
-                            converged = true;
-                            break;
-                        }
-                    } else {
-                        stable = 0;
-                    }
-                    previous = Some(snapshot);
-                }
-                q.to_qtable(
-                    |i| RecoveryState::new(et, codec.decode(i)),
-                    |a| RepairAction::ALL[a],
-                )
+            if converged || sweeps >= self.config.max_sweeps {
+                break snapshot;
             }
+            previous = Some(snapshot);
         };
 
         // --- Phase 2: scan the candidate tree exactly. ---
         let model = EmpiricalTypeModel::new(et, processes, self.trainer.platform());
-        let candidates = self.abstract_candidates(et, &q);
+        let candidates = Self::abstract_candidates(snapshot);
         let solution = model.constrained_optimal(self.config.max_attempts, |m, attempts| {
             candidates
                 .get(&(m.map_or(0, |a| a.index() + 1), attempts))
@@ -308,17 +276,6 @@ impl<'t, 'a> SelectionTreeTrainer<'t, 'a> {
     fn candidate_snapshot(
         &self,
         et: ErrorType,
-        q: &QTable<RecoveryState, RepairAction>,
-    ) -> HashMap<RecoveryState, Vec<RepairAction>> {
-        self.candidate_snapshot_with(et, |s| q.ranked_actions(s, &RepairAction::ALL))
-    }
-
-    /// [`Self::candidate_snapshot`] over any ranked-actions source, so
-    /// the dense and hash phase-1 tables share one BFS (and therefore
-    /// one definition of candidate stability).
-    fn candidate_snapshot_with(
-        &self,
-        et: ErrorType,
         ranked_actions: impl Fn(&RecoveryState) -> Vec<(RepairAction, f64)>,
     ) -> HashMap<RecoveryState, Vec<RepairAction>> {
         let mut out: HashMap<RecoveryState, Vec<RepairAction>> = HashMap::new();
@@ -351,12 +308,10 @@ impl<'t, 'a> SelectionTreeTrainer<'t, 'a> {
     /// `(strongest-failed index, attempts)`, unioning candidates of all
     /// concrete states sharing an abstraction.
     fn abstract_candidates(
-        &self,
-        et: ErrorType,
-        q: &QTable<RecoveryState, RepairAction>,
+        snapshot: HashMap<RecoveryState, Vec<RepairAction>>,
     ) -> HashMap<(usize, usize), Vec<RepairAction>> {
         let mut out: HashMap<(usize, usize), Vec<RepairAction>> = HashMap::new();
-        for (s, cands) in self.candidate_snapshot(et, q) {
+        for (s, cands) in snapshot {
             let key = (
                 s.tried().strongest().map_or(0, |a| a.index() + 1),
                 s.attempts(),
@@ -510,44 +465,6 @@ mod tests {
         let tree_cost = model.policy_cost(&policy, 20).unwrap();
         let user_cost = model.policy_cost(&UserStatePolicy::default(), 20).unwrap();
         assert!(tree_cost < user_cost, "{tree_cost} vs {user_cost}");
-    }
-
-    #[test]
-    fn dense_backend_matches_hash_backend_bit_for_bit() {
-        let mut train = deceptive_set(7, 20);
-        for i in 0..20 {
-            let req = if i % 3 == 0 {
-                RepairAction::Reboot
-            } else {
-                RepairAction::TryNop
-            };
-            train.push(ladder_process(
-                100 + i,
-                50_000_000 + u64::from(i) * 1_000_000,
-                8,
-                req,
-            ));
-        }
-        let run = |backend| {
-            let trainer = OfflineTrainer::new(&train, TrainerConfig::fast().with_backend(backend));
-            let tree = SelectionTreeTrainer::new(&trainer, SelectionTreeConfig::default());
-            let types = [
-                ErrorType::new(SymptomId::new(7)),
-                ErrorType::new(SymptomId::new(8)),
-            ];
-            let (policy, stats) = tree.train(&types);
-            let mut rows: Vec<_> = policy
-                .q()
-                .iter()
-                .map(|((s, a), v, n)| (*s, *a, v.to_bits(), n))
-                .collect();
-            rows.sort();
-            (rows, stats)
-        };
-        let hash = run(TrainBackend::Hash);
-        let dense = run(TrainBackend::Dense);
-        assert_eq!(hash.1, dense.1, "per-type stats (sweeps, convergence)");
-        assert_eq!(hash.0, dense.0, "scanned policy tables");
     }
 
     #[test]

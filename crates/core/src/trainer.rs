@@ -14,8 +14,8 @@ use std::collections::HashMap;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use recovery_mdp::{
-    DenseEnvironment, DenseQTable, DenseStep, DoubleQLearning, Environment, QLearning,
-    QLearningConfig, QTable, Step, TemperatureSchedule,
+    DenseEnvironment, DenseQTable, DenseStep, DenseTrainResult, DoubleQLearning, Environment,
+    QLearning, QLearningConfig, QTable, Step, TemperatureSchedule,
 };
 use recovery_simlog::{RecoveryProcess, RepairAction};
 use recovery_telemetry::{Event, ObserverHandle, Telemetry, TrainingObserver};
@@ -44,52 +44,6 @@ pub fn type_seed(master_seed: u64, symptom_index: u32, salt: u64) -> u64 {
         ^ salt
 }
 
-/// Which Q-table representation the per-type training hot path runs on.
-///
-/// Both backends execute the *same* training algorithm — identical
-/// control flow, floating-point operation order, and RNG consumption —
-/// so they produce byte-identical policies, run reports, and convergence
-/// traces; the choice only affects speed. The equivalence is locked by
-/// property tests and the `dense-equivalence` CI job.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum TrainBackend {
-    /// Packed integer states indexed into flat `Vec` arrays: no hashing
-    /// and no per-episode allocation in the episode loop. The default.
-    #[default]
-    Dense,
-    /// The original `HashMap<(state, action)>` table — the reference
-    /// implementation the dense backend is byte-compared against.
-    Hash,
-}
-
-impl TrainBackend {
-    /// The CLI-facing name (`dense` / `hash`).
-    pub fn name(self) -> &'static str {
-        match self {
-            TrainBackend::Dense => "dense",
-            TrainBackend::Hash => "hash",
-        }
-    }
-}
-
-impl std::str::FromStr for TrainBackend {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "dense" => Ok(TrainBackend::Dense),
-            "hash" => Ok(TrainBackend::Hash),
-            other => Err(format!("unknown backend '{other}' (dense|hash)")),
-        }
-    }
-}
-
-impl std::fmt::Display for TrainBackend {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
 /// Configuration of the offline trainer.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TrainerConfig {
@@ -109,9 +63,6 @@ pub struct TrainerConfig {
     pub prune_dominated: bool,
     /// Master seed; each error type derives its own stream.
     pub seed: u64,
-    /// Q-table representation for the training hot path; output is
-    /// byte-identical either way.
-    pub backend: TrainBackend,
 }
 
 impl Default for TrainerConfig {
@@ -141,7 +92,6 @@ impl Default for TrainerConfig {
             max_attempts: 20,
             prune_dominated: true,
             seed: 0x0D5E_2007,
-            backend: TrainBackend::Dense,
         }
     }
 }
@@ -169,7 +119,6 @@ impl TrainerConfig {
             max_attempts: 20,
             prune_dominated: true,
             seed: 0x0D5E_2007,
-            backend: TrainBackend::Dense,
         }
     }
 
@@ -194,12 +143,6 @@ impl TrainerConfig {
         self
     }
 
-    /// Replaces the training backend.
-    pub fn with_backend(mut self, backend: TrainBackend) -> Self {
-        self.backend = backend;
-        self
-    }
-
     /// A compact description of the temperature schedule, e.g.
     /// `geometric(t0=300000, decay=0.99988, floor=5)`.
     pub fn schedule_summary(&self) -> String {
@@ -216,11 +159,6 @@ impl TrainerConfig {
 
     /// The configuration as a structured telemetry [`Event`] (kind
     /// `trainer_config`), for JSONL logging without any serde dependency.
-    ///
-    /// The `backend` field is deliberately *not* rendered here (nor in
-    /// [`Display`](std::fmt::Display)): run reports and traces must be
-    /// byte-identical across backends, so the representation choice never
-    /// leaks into artifacts. The CLI announces the backend on stderr.
     pub fn to_event(&self) -> Event {
         Event::new("trainer_config")
             .with("max_episodes", self.learning.max_episodes)
@@ -274,10 +212,11 @@ pub struct TypeTrainingStats {
 /// one logged process of the type and replays the learner's actions
 /// against it through the platform.
 ///
-/// Obtained from [`OfflineTrainer::replay_env`]; exposed so alternative
-/// training loops (the selection-tree accelerator, the linear
-/// approximation of [`crate::approx`], or user experiments) can drive the
-/// same episodes.
+/// Obtained from [`OfflineTrainer::replay_env`]. Production training
+/// runs on its packed-state twin [`DenseReplayEnv`]; this generic view
+/// serves the linear approximation of [`crate::approx`], the hash-table
+/// reference learners the dense path is byte-compared against in tests,
+/// and user experiments.
 pub struct ReplayEnv<'a> {
     platform: &'a SimulationPlatform,
     processes: &'a [&'a RecoveryProcess],
@@ -612,7 +551,8 @@ impl<'a> OfflineTrainer<'a> {
 
     /// The packed-state counterpart of [`OfflineTrainer::replay_env`]:
     /// the same episodes over [`StateCodec`] indices, seeded identically,
-    /// so dense and hash training consume the same random streams.
+    /// so the dense learners and their hash references consume the same
+    /// random streams.
     pub fn dense_replay_env(&self, et: ErrorType) -> Option<DenseReplayEnv<'_>> {
         let processes = self.by_type.get(&et)?;
         let caches = processes
@@ -664,46 +604,13 @@ impl<'a> OfflineTrainer<'a> {
         et: ErrorType,
         initial: QTable<RecoveryState, RepairAction>,
     ) -> Option<(QTable<RecoveryState, RepairAction>, TypeTrainingStats)> {
-        let processes = self.by_type.get(&et)?;
-        if self.observer.is_attached() {
-            self.observer
-                .training_started(&Self::type_label(et), processes.len());
-        }
-        let mut learning = self.config.learning.clone();
-        learning.max_steps = self.config.max_attempts;
-        let driver = QLearning::new(learning);
-        let mut rng = StdRng::seed_from_u64(self.type_seed(et, 0x000_AC710));
-        let (q, episodes, converged) = match self.config.backend {
-            TrainBackend::Hash => {
-                let mut env = self.replay_env(et).expect("type has processes");
-                let result =
-                    driver.train_from_observed(&mut env, &mut rng, initial, &self.observer);
-                (result.q, result.episodes, result.converged)
-            }
-            TrainBackend::Dense => {
-                let mut env = self.dense_replay_env(et).expect("type has processes");
-                let codec = *env.codec();
-                let mut table = DenseQTable::new(codec.num_states(), RepairAction::COUNT);
-                table.absorb_qtable(&initial, |s| codec.encode(&s.tried()), |a| a.index());
-                let result = driver.train_dense_observed(&mut env, &mut rng, table, &self.observer);
-                let q = result.q.to_qtable(
-                    |i| RecoveryState::new(et, codec.decode(i)),
-                    |a| RepairAction::ALL[a],
-                );
-                (q, result.episodes, result.converged)
-            }
-        };
-        if self.observer.is_attached() {
-            self.observer
-                .training_finished(&Self::type_label(et), episodes, converged);
-        }
-        let stats = TypeTrainingStats {
-            error_type: et,
-            sample_count: processes.len(),
-            sweeps: episodes,
-            converged,
-        };
-        Some((q, stats))
+        self.train_type_with(et, |env, learning| {
+            let codec = *env.codec();
+            let mut table = DenseQTable::new(codec.num_states(), RepairAction::COUNT);
+            table.absorb_qtable(&initial, |s| codec.encode(&s.tried()), |a| a.index());
+            let mut rng = StdRng::seed_from_u64(self.type_seed(et, 0x000_AC710));
+            QLearning::new(learning).train_dense_observed(env, &mut rng, table, &self.observer)
+        })
     }
 
     /// Trains one error type with **double Q-learning** (two estimators,
@@ -715,41 +622,47 @@ impl<'a> OfflineTrainer<'a> {
         &self,
         et: ErrorType,
     ) -> Option<(QTable<RecoveryState, RepairAction>, TypeTrainingStats)> {
-        let processes = self.by_type.get(&et)?;
+        self.train_type_with(et, |env, learning| {
+            let mut rng = StdRng::seed_from_u64(self.type_seed(et, 0x00D_0B1E));
+            DoubleQLearning::new(learning).train_dense(env, &mut rng)
+        })
+    }
+
+    /// The frame shared by the per-type learners: observer hooks around
+    /// one `learn` run on `et`'s packed-state replay environment (with
+    /// `max_steps` pinned to the attempt budget), and the learned table
+    /// decoded back to [`RecoveryState`] keys.
+    fn train_type_with(
+        &self,
+        et: ErrorType,
+        learn: impl FnOnce(&mut DenseReplayEnv<'_>, QLearningConfig) -> DenseTrainResult,
+    ) -> Option<(QTable<RecoveryState, RepairAction>, TypeTrainingStats)> {
+        let mut env = self.dense_replay_env(et)?;
+        let sample_count = self.processes_of(et).len();
         if self.observer.is_attached() {
             self.observer
-                .training_started(&Self::type_label(et), processes.len());
+                .training_started(&Self::type_label(et), sample_count);
         }
         let mut learning = self.config.learning.clone();
         learning.max_steps = self.config.max_attempts;
-        let driver = DoubleQLearning::new(learning);
-        let mut rng = StdRng::seed_from_u64(self.type_seed(et, 0x00D_0B1E));
-        let (q, episodes, converged) = match self.config.backend {
-            TrainBackend::Hash => {
-                let mut env = self.replay_env(et).expect("type has processes");
-                let result = driver.train(&mut env, &mut rng);
-                (result.q, result.episodes, result.converged)
-            }
-            TrainBackend::Dense => {
-                let mut env = self.dense_replay_env(et).expect("type has processes");
-                let codec = *env.codec();
-                let result = driver.train_dense(&mut env, &mut rng);
-                let q = result.q.to_qtable(
-                    |i| RecoveryState::new(et, codec.decode(i)),
-                    |a| RepairAction::ALL[a],
-                );
-                (q, result.episodes, result.converged)
-            }
-        };
+        let result = learn(&mut env, learning);
+        let codec = *env.codec();
+        let q = result.q.to_qtable(
+            |i| RecoveryState::new(et, codec.decode(i)),
+            |a| RepairAction::ALL[a],
+        );
         if self.observer.is_attached() {
-            self.observer
-                .training_finished(&Self::type_label(et), episodes, converged);
+            self.observer.training_finished(
+                &Self::type_label(et),
+                result.episodes,
+                result.converged,
+            );
         }
         let stats = TypeTrainingStats {
             error_type: et,
-            sample_count: processes.len(),
-            sweeps: episodes,
-            converged,
+            sample_count,
+            sweeps: result.episodes,
+            converged: result.converged,
         };
         Some((q, stats))
     }
@@ -971,7 +884,7 @@ mod tests {
     }
 
     /// Bit-exact snapshot of a table, sorted by the canonical state
-    /// order so backend-internal iteration order cannot matter.
+    /// order so table-internal iteration order cannot matter.
     fn snapshot(
         q: &QTable<RecoveryState, RepairAction>,
     ) -> Vec<(RecoveryState, RepairAction, u64, u64)> {
@@ -983,24 +896,40 @@ mod tests {
         rows
     }
 
+    /// The production (dense) learners against the hash-table reference
+    /// learners driven directly over [`ReplayEnv`] with the same seeds.
     #[test]
     fn dense_backend_matches_hash_backend_bit_for_bit() {
         let train = deceptive_training_set(5, 20);
         let et = ErrorType::new(SymptomId::new(5));
-        let run = |backend| {
-            let trainer = OfflineTrainer::new(&train, TrainerConfig::fast().with_backend(backend));
-            let (q, stats) = trainer.train_type(et).unwrap();
-            let (sq, _) = trainer.train_type_seeded(et).unwrap();
-            let (dq, dstats) = trainer.train_type_double(et).unwrap();
-            (snapshot(&q), stats, snapshot(&sq), snapshot(&dq), dstats)
+        let trainer = OfflineTrainer::new(&train, TrainerConfig::fast());
+        let mut learning = trainer.config().learning.clone();
+        learning.max_steps = trainer.config().max_attempts;
+        let rng = |salt| StdRng::seed_from_u64(trainer.type_seed(et, salt));
+        let reference = |initial| {
+            let mut env = trainer.replay_env(et).unwrap();
+            QLearning::new(learning.clone()).train_from(&mut env, &mut rng(0x000_AC710), initial)
         };
-        let hash = run(TrainBackend::Hash);
-        let dense = run(TrainBackend::Dense);
-        assert_eq!(hash.1, dense.1, "plain Q-learning stats");
-        assert_eq!(hash.0, dense.0, "plain Q-learning table");
-        assert_eq!(hash.2, dense.2, "user-seeded table");
-        assert_eq!(hash.4, dense.4, "double-Q stats");
-        assert_eq!(hash.3, dense.3, "double-Q table");
+
+        let (q, stats) = trainer.train_type(et).unwrap();
+        let hash = reference(QTable::new());
+        assert_eq!(stats.sweeps, hash.episodes, "plain Q-learning sweeps");
+        assert_eq!(
+            stats.converged, hash.converged,
+            "plain Q-learning convergence"
+        );
+        assert_eq!(snapshot(&q), snapshot(&hash.q), "plain Q-learning table");
+
+        let (sq, _) = trainer.train_type_seeded(et).unwrap();
+        let hash = reference(trainer.user_policy_seed(et).unwrap());
+        assert_eq!(snapshot(&sq), snapshot(&hash.q), "user-seeded table");
+
+        let (dq, dstats) = trainer.train_type_double(et).unwrap();
+        let mut env = trainer.replay_env(et).unwrap();
+        let hash = DoubleQLearning::new(learning.clone()).train(&mut env, &mut rng(0x00D_0B1E));
+        assert_eq!(dstats.sweeps, hash.episodes, "double-Q sweeps");
+        assert_eq!(dstats.converged, hash.converged, "double-Q convergence");
+        assert_eq!(snapshot(&dq), snapshot(&hash.q), "double-Q table");
     }
 
     #[test]

@@ -120,12 +120,7 @@ type Trajectory<S, A> = Vec<(S, A, f64, Option<S>)>;
 pub struct QLearning {
     config: QLearningConfig,
     selector: BoltzmannSelector,
-    initial: Option<QTableSeed>,
 }
-
-/// Opaque seed payload; stored as raw `(state-encoded)` values by the
-/// caller via [`QLearning::train_from`].
-type QTableSeed = ();
 
 impl QLearning {
     /// Creates a driver with the given configuration.
@@ -138,7 +133,6 @@ impl QLearning {
         QLearning {
             config,
             selector: BoltzmannSelector::new(),
-            initial: None,
         }
     }
 
@@ -159,41 +153,20 @@ impl QLearning {
     /// Trains starting from an existing Q-table (e.g. one seeded from the
     /// user-defined policy — the paper's "designing initial policies"
     /// extension).
+    ///
+    /// This generic hash-table loop is the reference implementation: the
+    /// production trainer runs [`QLearning::train_dense_observed`], which
+    /// tests byte-compare against this loop.
     pub fn train_from<E, R>(
         &self,
         env: &mut E,
         rng: &mut R,
-        q: QTable<E::State, E::Action>,
-    ) -> TrainResult<E::State, E::Action>
-    where
-        E: Environment,
-        R: Rng + ?Sized,
-    {
-        // The no-op observer is statically dispatched and its empty
-        // hooks inline away, so the unobserved path costs nothing.
-        self.train_from_observed(env, rng, q, &NoopObserver)
-    }
-
-    /// [`QLearning::train_from`] with telemetry: fires
-    /// [`TrainingObserver`] hooks for every sweep (temperature, episode
-    /// walk, max Q-delta, convergence window).
-    ///
-    /// Observation is passive — hooks receive scalar copies and the
-    /// observer never touches the RNG — so for equal seeds this produces
-    /// a Q-table byte-identical to the unobserved run's.
-    pub fn train_from_observed<E, R, O>(
-        &self,
-        env: &mut E,
-        rng: &mut R,
         mut q: QTable<E::State, E::Action>,
-        observer: &O,
     ) -> TrainResult<E::State, E::Action>
     where
         E: Environment,
         R: Rng + ?Sized,
-        O: TrainingObserver + ?Sized,
     {
-        let _ = self.initial;
         let mut calm_streak = 0u64;
         let mut episodes = 0u64;
         let mut converged = false;
@@ -212,7 +185,6 @@ impl QLearning {
             }
             let temperature = course.at(episodes);
             episodes += 1;
-            observer.temperature_update(episodes, temperature);
 
             // --- Walk one episode, recording the trajectory. ---
             let mut state = env.reset();
@@ -236,12 +208,6 @@ impl QLearning {
                     break;
                 }
             }
-
-            observer.episode_end(
-                episodes,
-                record.len(),
-                record.iter().map(|(_, _, cost, _)| cost).sum(),
-            );
 
             // --- Apply Eq. 6 updates along the record (paper Fig. 2);
             // backward by default so the terminal cost reaches the whole
@@ -280,9 +246,6 @@ impl QLearning {
                 max_delta = max_delta.max(q.update(s, a, target));
             }
 
-            observer.q_delta(episodes, max_delta);
-            observer.sweep_complete(episodes);
-
             // --- Convergence window. ---
             if max_delta < self.config.convergence_tol {
                 calm_streak += 1;
@@ -292,7 +255,6 @@ impl QLearning {
             } else {
                 calm_streak = 0;
             }
-            observer.convergence_check(episodes, calm_streak, converged);
             if converged {
                 break;
             }
@@ -316,15 +278,19 @@ impl QLearning {
         self.train_dense_observed(env, rng, q, &NoopObserver)
     }
 
-    /// [`QLearning::train_from_observed`] over the dense backend.
+    /// [`QLearning::train_dense`] with telemetry: fires
+    /// [`TrainingObserver`] hooks for every sweep (temperature, episode
+    /// walk, max Q-delta, convergence window). Observation is passive —
+    /// hooks receive scalar copies and never touch the RNG — so the
+    /// table is byte-identical to the unobserved run's.
     ///
-    /// This loop is the hash loop transliterated: the same control flow,
-    /// the same floating-point operations in the same order, the same
-    /// RNG consumption (one environment reset per episode, one selector
-    /// draw per step), and the same observer hooks with the same values.
+    /// This loop is the hash loop of [`QLearning::train_from`]
+    /// transliterated: the same control flow, the same floating-point
+    /// operations in the same order, the same RNG consumption (one
+    /// environment reset per episode, one selector draw per step).
     /// Paired with a [`DenseEnvironment`] that mirrors the hash
-    /// environment, it therefore produces bit-identical Q-values,
-    /// episode counts, and convergence traces. What changes is purely
+    /// environment, it therefore produces bit-identical Q-values and
+    /// episode counts. What changes is purely
     /// mechanical: Q reads/updates are array indexing, and the
     /// trajectory, action, cost, and softmax-weight buffers are
     /// allocated once per call and reused across every episode.

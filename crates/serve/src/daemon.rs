@@ -665,6 +665,17 @@ mod tests {
         http(addr, &format!("GET {path} HTTP/1.1\r\nHost: test\r\n\r\n"))
     }
 
+    /// Waits for the quiescent point the shedding contract is stated at:
+    /// a handler counts `serve.served`, records latency, and emits its
+    /// access event after its response is on the wire, so a client can
+    /// read the response before the handler has finished.
+    fn quiesce(daemon: &ServeDaemon) {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while daemon.inflight() > 0 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
     #[test]
     fn empty_store_sheds_with_no_policy() {
         let telemetry = Telemetry::with_parts(None, Some(EventBus::default()));
@@ -686,6 +697,7 @@ mod tests {
         let (head, body) = get(daemon.local_addr(), "/nope");
         assert!(head.starts_with("HTTP/1.1 404"), "{head}");
         assert!(body.contains("unknown_route"), "{body}");
+        quiesce(&daemon);
         let registry = telemetry.registry().unwrap();
         assert_eq!(registry.counter("serve.requests").get(), 4);
         assert_eq!(registry.counter("serve.served").get(), 4);
@@ -732,6 +744,7 @@ mod tests {
         );
         assert!(head.starts_with("HTTP/1.1 503"), "{head}");
         assert!(response.contains("replay_unavailable"), "{response}");
+        quiesce(&daemon);
         let registry = telemetry.registry().unwrap();
         assert_eq!(
             registry.counter("serve.requests").get(),
@@ -837,6 +850,7 @@ mod tests {
         let _ = get(daemon.local_addr(), "/healthz");
         let _ = post(daemon.local_addr(), "/advise", "{\"symptom\":\"x\"}");
         let _ = get(daemon.local_addr(), "/trace/req-1");
+        quiesce(&daemon);
         let registry = telemetry.registry().unwrap();
         let route_count = |route: &str| {
             registry

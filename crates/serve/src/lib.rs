@@ -25,7 +25,7 @@
 //! - [`publish_snapshot`] — the reload seam: publishes a snapshot,
 //!   bumps the `serve.reload` counter, records the version in the
 //!   health record, and emits a `serve.reload` event. Wired to
-//!   [`recovery_core::pipeline::run_continuous_loop_published`], every
+//!   [`recovery_core::pipeline::run_continuous_loop_controlled`], every
 //!   `Trained` window hot-swaps a new snapshot while a `FellBack` window
 //!   leaves the last-good one serving.
 

@@ -43,12 +43,7 @@ fn instrumented_run(threads: usize) -> (RunReport, String) {
     }
     .with_trainer(trainer);
     let recorder = DiagnosticsRecorder::new();
-    let (run, policy) = TestRun::execute_in_context_instrumented(
-        &config,
-        &ctx,
-        &Telemetry::disabled(),
-        &recorder.handle(),
-    );
+    let (run, policy) = TestRun::execute(&config, &ctx, &Telemetry::disabled(), &recorder.handle());
     let report = assemble(&RunReportInputs {
         config: &config.trainer,
         train_fraction: config.train_fraction,

@@ -28,15 +28,15 @@ use recovery_core::fault::{
 use recovery_core::ingest::{self, ParseErrorPolicy};
 use recovery_core::parallel::{PoolError, WorkerPool, DEFAULT_RETRY_BUDGET};
 use recovery_core::pipeline::{
-    run_continuous_loop, run_continuous_loop_observed, ContinuousLoopConfig, FallbackReason,
-    WindowStatus,
+    run_continuous_loop_controlled, ContinuousLoopConfig, FallbackReason, LoopControls,
+    WindowOutcome, WindowStatus,
 };
 use recovery_core::trainer::TrainerConfig;
 use recovery_simlog::{
-    CatalogConfig, ClusterConfig, GeneratorConfig, LogGenerator, ParseLogErrorKind,
+    CatalogConfig, ClusterConfig, FaultCatalog, GeneratorConfig, LogGenerator, ParseLogErrorKind,
     RecoveryProcess, SimDuration, SymptomCatalog,
 };
-use recovery_telemetry::Telemetry;
+use recovery_telemetry::{ObserverHandle, Telemetry};
 
 fn fixture(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -74,6 +74,24 @@ fn render(processes: &[RecoveryProcess], symptoms: &SymptomCatalog) -> String {
         }
     }
     out
+}
+
+/// A loop run without per-window observers, publication, or controls.
+fn run_loop(
+    catalog: &FaultCatalog,
+    config: &ContinuousLoopConfig,
+    telemetry: &Telemetry,
+) -> Vec<WindowOutcome> {
+    run_continuous_loop_controlled(
+        catalog,
+        config,
+        telemetry,
+        &mut |_| ObserverHandle::none(),
+        &mut |_| {},
+        &mut LoopControls::default(),
+    )
+    .expect("an in-memory loop cannot fail")
+    .outcomes
 }
 
 fn small_loop_config(windows: usize, faults: LoopFaultPlan) -> ContinuousLoopConfig {
@@ -286,7 +304,7 @@ fn persistent_panics_exhaust_the_budget_into_a_typed_error() {
 fn retrain_panic_degrades_one_window_and_the_loop_recovers() {
     let catalog = CatalogConfig::default().with_fault_types(8).generate(5);
     let config = small_loop_config(4, LoopFaultPlan::none().with_retrain_panic(1));
-    let outcomes = run_continuous_loop(&catalog, &config);
+    let outcomes = run_loop(&catalog, &config, &Telemetry::disabled());
     assert_eq!(outcomes.len(), 4, "the loop must not abort");
     assert_eq!(outcomes[0].status, WindowStatus::Trained);
     assert_eq!(
@@ -309,7 +327,7 @@ fn retrain_panic_degrades_one_window_and_the_loop_recovers() {
 fn simulation_panic_degrades_one_window_without_aborting() {
     let catalog = CatalogConfig::default().with_fault_types(8).generate(5);
     let config = small_loop_config(3, LoopFaultPlan::none().with_simulation_panic(1));
-    let outcomes = run_continuous_loop(&catalog, &config);
+    let outcomes = run_loop(&catalog, &config, &Telemetry::disabled());
     assert_eq!(outcomes.len(), 3);
     assert_eq!(
         outcomes[1].status,
@@ -340,7 +358,7 @@ fn faulted_loop_outcomes_are_thread_count_invariant() {
             threads,
             ..small_loop_config(3, faults.clone())
         };
-        let outcomes = run_continuous_loop(&catalog, &config);
+        let outcomes = run_loop(&catalog, &config, &Telemetry::disabled());
         match &baseline {
             None => baseline = Some(outcomes),
             Some(expected) => assert_eq!(&outcomes, expected, "{threads} threads"),
@@ -377,7 +395,7 @@ fn degraded_operation_is_observable_and_deterministic() {
             threads,
             ..small_loop_config(2, LoopFaultPlan::none().with_empty_window(0))
         };
-        let _ = run_continuous_loop_observed(&catalog, &config, &telemetry);
+        let _ = run_loop(&catalog, &config, &telemetry);
 
         let snap = telemetry.snapshot().unwrap();
         assert_eq!(snap.counters["ingest.lines_skipped"], 2);
@@ -504,7 +522,7 @@ fn fault_dump_is_thread_count_invariant() {
         threads,
         ..small_loop_config(3, LoopFaultPlan::none().with_retrain_panic(0))
     };
-    for w in run_continuous_loop(&catalog, &config) {
+    for w in run_loop(&catalog, &config, &Telemetry::disabled()) {
         dump.push_str(&format!(
             "window {} processes {} mttr {} learned {} status {}\n",
             w.window,

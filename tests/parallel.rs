@@ -2,15 +2,21 @@
 //! trained with 1, 2, and 8 worker threads must produce byte-identical
 //! serialized policies, identical `TypeTrainingStats` (content *and*
 //! order), bit-identical evaluation reports, and telemetry counters that
-//! aggregate from worker threads to the sequential run's totals.
+//! aggregate from worker threads to the sequential run's totals. The
+//! dense production trainer must also match the generic hash-table
+//! Q-learner, driven directly, byte for byte at any thread count.
 
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use recovery_core::evaluate::time_ordered_split;
 use recovery_core::experiment::{sweep_comparison, ExperimentContext, TestRun, TestRunConfig};
 use recovery_core::persist::policy_to_text;
+use recovery_core::policy::TrainedPolicy;
 use recovery_core::selection_tree::SelectionTreeConfig;
-use recovery_core::trainer::{OfflineTrainer, TrainBackend, TrainerConfig};
+use recovery_core::trainer::{type_seed, OfflineTrainer, TrainerConfig};
+use recovery_mdp::{QLearning, QTable};
 use recovery_simlog::{GeneratorConfig, LogGenerator, SymptomCatalog};
-use recovery_telemetry::Telemetry;
+use recovery_telemetry::{ObserverHandle, Telemetry};
 
 fn small_context() -> (ExperimentContext, SymptomCatalog) {
     let mut generated = LogGenerator::new(GeneratorConfig::small()).generate();
@@ -76,35 +82,42 @@ fn dense_and_hash_backends_are_byte_identical_across_thread_counts() {
     let (ctx, symptoms) = small_context();
     let (train, _) = time_ordered_split(&ctx.clean, 0.4);
 
-    let outputs: Vec<_> = [TrainBackend::Dense, TrainBackend::Hash]
-        .into_iter()
-        .flat_map(|backend| {
-            [1usize, 4]
-                .into_iter()
-                .map(move |threads| (backend, threads))
-        })
-        .map(|(backend, threads)| {
-            let trainer = OfflineTrainer::new(train, quick_trainer().with_backend(backend))
-                .with_threads(threads);
-            let (policy, stats) = trainer.train(&ctx.types);
-            (backend, threads, policy_to_text(&policy, &symptoms), stats)
-        })
-        .collect();
-
-    let (_, _, reference_text, reference_stats) = &outputs[0];
-    assert!(reference_stats.len() > 1, "need several types");
-    for (backend, threads, text, stats) in &outputs[1..] {
-        assert!(
-            text == reference_text,
-            "{backend} backend with {threads} threads drifted from the reference bytes"
+    // The hash-table reference: the generic learner driven directly over
+    // each type's `ReplayEnv`, with the production per-type seeds, and
+    // the fragments merged in `types` order.
+    let trainer = OfflineTrainer::new(train, quick_trainer());
+    let mut learning = trainer.config().learning.clone();
+    learning.max_steps = trainer.config().max_attempts;
+    let mut reference = TrainedPolicy::default();
+    let mut reference_stats = Vec::new();
+    for &et in &ctx.types {
+        let Some(mut env) = trainer.replay_env(et) else {
+            continue;
+        };
+        let seed = type_seed(trainer.config().seed, et.symptom().index(), 0x000_AC710);
+        let result = QLearning::new(learning.clone()).train_from(
+            &mut env,
+            &mut StdRng::seed_from_u64(seed),
+            QTable::new(),
         );
-        for (s, r) in stats.iter().zip(reference_stats) {
-            assert_eq!(
-                s.error_type, r.error_type,
-                "{backend}/{threads}: stats order"
-            );
-            assert_eq!(s.sweeps, r.sweeps, "{backend}/{threads}: sweeps");
-            assert_eq!(s.converged, r.converged, "{backend}/{threads}: convergence");
+        reference.q_mut().merge_from(result.q);
+        reference_stats.push((et, result.episodes, result.converged));
+    }
+    let reference_text = policy_to_text(&reference, &symptoms);
+    assert!(reference_stats.len() > 1, "need several types");
+
+    for threads in [1usize, 4] {
+        let trainer = OfflineTrainer::new(train, quick_trainer()).with_threads(threads);
+        let (policy, stats) = trainer.train(&ctx.types);
+        assert!(
+            policy_to_text(&policy, &symptoms) == reference_text,
+            "dense training with {threads} threads drifted from the hash reference bytes"
+        );
+        assert_eq!(stats.len(), reference_stats.len(), "{threads}: type count");
+        for (s, &(et, sweeps, converged)) in stats.iter().zip(&reference_stats) {
+            assert_eq!(s.error_type, et, "{threads}: stats order");
+            assert_eq!(s.sweeps, sweeps, "{threads}: sweeps");
+            assert_eq!(s.converged, converged, "{threads}: convergence");
         }
     }
 }
@@ -124,8 +137,18 @@ fn train_all_matches_across_thread_counts() {
 #[test]
 fn test_run_reports_are_bit_identical_across_thread_counts() {
     let (ctx, _) = small_context();
-    let sequential = TestRun::execute_in_context(&quick_run(0.4).with_threads(1), &ctx);
-    let parallel = TestRun::execute_in_context(&quick_run(0.4).with_threads(8), &ctx);
+    let run = |threads| {
+        let config = quick_run(0.4).with_threads(threads);
+        TestRun::execute(
+            &config,
+            &ctx,
+            &Telemetry::disabled(),
+            &ObserverHandle::none(),
+        )
+        .0
+    };
+    let sequential = run(1);
+    let parallel = run(8);
 
     // EvaluationReport is PartialEq over raw f64 sums: this asserts the
     // parallel replay's floating-point accumulation is *bit*-identical,
@@ -146,7 +169,7 @@ fn sweep_comparison_is_identical_across_thread_counts() {
     };
     let run = |threads| {
         let config = quick_run(0.4).with_threads(threads);
-        sweep_comparison(&config, &tree_config, &ctx)
+        sweep_comparison(&config, &tree_config, &ctx, &Telemetry::disabled())
     };
     let sequential = run(1);
     let parallel = run(8);

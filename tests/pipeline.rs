@@ -12,6 +12,7 @@ use recovery_core::trainer::{OfflineTrainer, TrainerConfig};
 use recovery_simlog::{
     stats, ClusterSim, GeneratorConfig, LogGenerator, RecoveryLog, UserDefinedPolicy,
 };
+use recovery_telemetry::{ObserverHandle, Telemetry};
 
 fn small_context() -> ExperimentContext {
     let mut generated = LogGenerator::new(GeneratorConfig::small()).generate();
@@ -21,12 +22,14 @@ fn small_context() -> ExperimentContext {
 #[test]
 fn full_pipeline_beats_user_policy_and_covers_everything() {
     let ctx = small_context();
-    let run = TestRun::execute_in_context(
+    let (run, _) = TestRun::execute(
         &TestRunConfig {
             top_k: 8,
             ..TestRunConfig::new(0.4)
         },
         &ctx,
+        &Telemetry::disabled(),
+        &ObserverHandle::none(),
     );
     // The hybrid must cover everything (paper §3.4 guarantee).
     assert_eq!(run.hybrid_report.overall_coverage(), 1.0);
@@ -49,12 +52,14 @@ fn pipeline_is_deterministic_end_to_end() {
     let run = |seed: u64| {
         let mut generated = LogGenerator::new(GeneratorConfig::small().with_seed(seed)).generate();
         let ctx = ExperimentContext::prepare(generated.log.split_processes(), 0.1, 6);
-        let r = TestRun::execute_in_context(
+        let (r, _) = TestRun::execute(
             &TestRunConfig {
                 top_k: 6,
                 ..TestRunConfig::new(0.4)
             },
             &ctx,
+            &Telemetry::disabled(),
+            &ObserverHandle::none(),
         );
         (
             r.trained_report.overall_relative_cost(),

@@ -34,7 +34,7 @@ fn small_config() -> TestRunConfig {
 fn observed_test_run_records_training_and_replay_metrics() {
     let ctx = small_context();
     let telemetry = Telemetry::new();
-    let run = TestRun::execute_in_context_observed(&small_config(), &ctx, &telemetry);
+    let (run, _) = TestRun::execute(&small_config(), &ctx, &telemetry, &ObserverHandle::none());
     assert!(run.train_count > 0 && run.test_count > 0);
 
     let snapshot = telemetry.snapshot().expect("telemetry is enabled");
