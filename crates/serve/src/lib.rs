@@ -17,9 +17,10 @@
 //!   off-lock and swap it in with a monotonic version bump. A torn read
 //!   is structurally impossible.
 //! - [`ServeDaemon`] — the HTTP front end: `POST /advise`,
-//!   `POST /simulate`, `GET /policy`, `GET /policy/text`, plus the four
+//!   `POST /simulate`, `GET /policy`, `GET /policy/text`, plus the
 //!   shared telemetry routes (`/metrics`, `/snapshot`, `/healthz`,
-//!   `/events`). Concurrency is bounded by
+//!   `/events`, the trace and convergence views), mounted on the
+//!   workspace's one `HttpServer`. Concurrency is bounded by
 //!   [`ServeConfig::max_inflight`]; excess connections are shed with a
 //!   typed `503 {"type":"shed"}` before any work happens.
 //! - [`publish_snapshot`] — the reload seam: publishes a snapshot,

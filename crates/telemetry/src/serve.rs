@@ -1,7 +1,10 @@
-//! The live exposition server: a minimal std-only blocking-TCP HTTP
-//! endpoint behind the CLI's global `--metrics-listen ADDR` flag.
+//! The one HTTP server of the workspace: a minimal std-only
+//! blocking-TCP endpoint. [`HttpServer::metrics`] mounts the read-only
+//! telemetry routes behind the CLI's global `--metrics-listen ADDR`
+//! flag; the `recovery-serve` policy daemon mounts its own [`Routes`] on
+//! the same server.
 //!
-//! All routes are read-only views of one [`Telemetry`] handle:
+//! The telemetry routes are read-only views of one [`Telemetry`] handle:
 //!
 //! | route               | body                                                   |
 //! |---------------------|--------------------------------------------------------|
@@ -16,43 +19,49 @@
 //! | `/convergence`      | NDJSON stream of live `convergence` events only        |
 //! | `/convergence/sse`  | the same stream with Server-Sent-Events framing        |
 //!
-//! The server is deliberately primitive — one accept thread polling a
-//! non-blocking listener, one short-lived thread per connection, HTTP/1.0
-//! semantics with `Connection: close` — because it must never compete
-//! with the pipeline it observes: every handler only *reads* snapshots
+//! The server is deliberately primitive — one accept thread blocked in
+//! `accept`, one short-lived thread per connection, HTTP/1.0 semantics
+//! with `Connection: close` — because it must never compete with the
+//! pipeline it observes: every telemetry handler only *reads* snapshots
 //! or subscribes to the bounded [`EventBus`], whose backpressure rule
 //! (drop, never block) already guarantees a stuck scraper cannot perturb
 //! training. Byte-identity of trained policies with the server on or off
 //! is enforced by `tests/observe.rs`.
 //!
-//! The request/response plumbing ([`HttpRequest`], [`read_request`],
-//! [`write_response`], [`respond_telemetry`]) is shared with the
-//! `recovery-serve` policy daemon, which mounts the same four telemetry
-//! routes beside its own `/advise`, `/simulate`, and `/policy` handlers.
+//! **Bounded concurrency**: the accept thread claims an in-flight slot
+//! before any request byte is read. With every slot taken the connection
+//! gets a typed `503 {"type":"shed"}`; once [`HttpServer::drain`] began
+//! it gets a typed `503 {"type":"draining"}`. Either way the mounted
+//! [`Routes`] hear about it through [`Routes::rejected`]. Shutdown,
+//! drain and `Drop` wake the blocked `accept` with a connection of their
+//! own to the bound port.
+//!
+//! [`EventBus`]: crate::EventBus
 
 use std::io::{self, BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use crate::event::snapshot_to_json;
 use crate::prometheus::render_prometheus;
 use crate::Telemetry;
 
-/// How long the accept loop sleeps between polls of the non-blocking
-/// listener (also bounds shutdown latency).
-pub const ACCEPT_POLL: Duration = Duration::from_millis(25);
-
 /// Read timeout for one incoming request head.
-pub const REQUEST_TIMEOUT: Duration = Duration::from_secs(5);
+const REQUEST_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// Concurrently running connection handlers an [`HttpServer`] allows
+/// unless its owner picks another bound; [`HttpServer::metrics`] always
+/// uses this one.
+pub const DEFAULT_MAX_INFLIGHT: usize = 64;
 
 /// How long an `/events` stream waits for the next bus line before
 /// re-checking the shutdown flag.
 const EVENT_POLL: Duration = Duration::from_millis(200);
 
-/// Maximum accepted header block size, bytes.
+/// Maximum accepted request head (request line plus headers), bytes.
 const MAX_HEADER_BYTES: usize = 8 * 1024;
 
 /// Maximum accepted request body size, bytes. Requests above this are
@@ -79,40 +88,117 @@ impl HttpRequest {
     }
 }
 
-/// A running exposition server bound to one local address.
+/// The routes an [`HttpServer`] mounts.
+pub trait Routes: Send + Sync + 'static {
+    /// Answers one parsed request on `stream`, on the connection's own
+    /// thread while it holds an in-flight slot. `accepted` is when
+    /// `accept` returned the connection; `stop` is raised when the
+    /// server quiesces, and long-lived streams must watch it.
+    ///
+    /// # Errors
+    ///
+    /// A socket error; the server drops the connection.
+    fn respond(
+        &self,
+        request: HttpRequest,
+        stream: TcpStream,
+        accepted: Instant,
+        stop: &AtomicBool,
+    ) -> io::Result<()>;
+
+    /// Called once for every accepted connection the server answered
+    /// with a typed 503 (or could not hand to a thread) instead of
+    /// routing it.
+    fn rejected(&self) {}
+}
+
+/// The read-only telemetry routes of [`HttpServer::metrics`]. They
+/// touch no registry counter, so the metrics snapshot is the same with
+/// the server on or off.
+struct TelemetryRoutes(Telemetry);
+
+impl Routes for TelemetryRoutes {
+    fn respond(
+        &self,
+        request: HttpRequest,
+        mut stream: TcpStream,
+        _accepted: Instant,
+        stop: &AtomicBool,
+    ) -> io::Result<()> {
+        // The metrics server is strictly read-only: non-GET is dropped.
+        if request.method != "GET" {
+            return Ok(());
+        }
+        match respond_telemetry(&request, stream.try_clone()?, &self.0, stop, None) {
+            Some(result) => result,
+            None => write_response(
+                &mut stream,
+                "404 Not Found",
+                "text/plain; charset=utf-8",
+                "not found: /metrics /snapshot /healthz /events /traces /trace/<id> /convergence\n",
+                None,
+            ),
+        }
+    }
+}
+
+/// Flags shared between an [`HttpServer`] handle, its accept thread and
+/// its connection threads.
+#[derive(Debug, Default)]
+struct ServerState {
+    /// The accept loop exits on its next accept.
+    stop: AtomicBool,
+    /// New connections get the draining 503 and streams finish.
+    quiesce: AtomicBool,
+    /// Connection handlers currently holding a slot.
+    inflight: AtomicUsize,
+}
+
+/// A running HTTP server bound to one local address.
 ///
-/// Dropping the server signals shutdown and joins the accept thread;
+/// Dropping the server quiesces it, wakes and joins the accept thread;
 /// in-flight connection handlers finish on their own (event streams
-/// re-check the shutdown flag a few times per second).
+/// re-check the quiesce flag a few times per second).
 #[derive(Debug)]
-pub struct MetricsServer {
+pub struct HttpServer {
     addr: SocketAddr,
-    stop: Arc<AtomicBool>,
+    state: Arc<ServerState>,
     accept_thread: Option<JoinHandle<()>>,
 }
 
-impl MetricsServer {
+impl HttpServer {
     /// Binds `addr` (e.g. `127.0.0.1:9187`, port `0` for an ephemeral
-    /// port) and starts serving views of `telemetry`.
+    /// port) and serves `routes` with at most `max_inflight` connection
+    /// handlers running at once.
     ///
     /// # Errors
     ///
     /// Returns the underlying I/O error when the address cannot be
     /// bound.
-    pub fn bind(addr: &str, telemetry: Telemetry) -> io::Result<MetricsServer> {
+    pub fn bind<R: Routes>(addr: &str, max_inflight: usize, routes: R) -> io::Result<HttpServer> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let local = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let accept_stop = stop.clone();
+        let state = Arc::new(ServerState::default());
+        let accept_state = state.clone();
         let accept_thread = std::thread::Builder::new()
-            .name("metrics-serve".to_string())
-            .spawn(move || accept_loop(listener, telemetry, accept_stop))?;
-        Ok(MetricsServer {
+            .name("http-accept".to_string())
+            .spawn(move || accept_loop(listener, Arc::new(routes), accept_state, max_inflight))?;
+        Ok(HttpServer {
             addr: local,
-            stop,
+            state,
             accept_thread: Some(accept_thread),
         })
+    }
+
+    /// Binds `addr` and serves the read-only views of `telemetry` (the
+    /// routes in the module docs), bounded at [`DEFAULT_MAX_INFLIGHT`].
+    ///
+    /// # Errors
+    ///
+    /// Returns the underlying I/O error when the address cannot be
+    /// bound.
+    pub fn metrics(addr: &str, telemetry: Telemetry) -> io::Result<HttpServer> {
+        HttpServer::bind(addr, DEFAULT_MAX_INFLIGHT, TelemetryRoutes(telemetry))
     }
 
     /// The actually bound address (resolves port `0` requests).
@@ -120,13 +206,57 @@ impl MetricsServer {
         self.addr
     }
 
-    /// Signals the accept loop to stop taking new connections.
+    /// Connection handlers currently running.
+    pub fn inflight(&self) -> usize {
+        self.state.inflight.load(Ordering::SeqCst)
+    }
+
+    /// Stops taking new connections and tells every long-lived stream to
+    /// finish. In-flight handlers still complete on their own; use
+    /// [`HttpServer::drain`] to wait for them.
     pub fn shutdown(&self) {
-        self.stop.store(true, Ordering::SeqCst);
+        self.state.quiesce.store(true, Ordering::SeqCst);
+        self.stop_accepting();
+    }
+
+    /// Gracefully drains the server: stop accepting work (new
+    /// connections get a typed `503 {"type":"draining"}`), let every
+    /// in-flight handler finish, then stop the accept loop. Returns
+    /// `true` when all handlers completed within `timeout`, `false` when
+    /// the deadline cut the wait short (the server is stopped either
+    /// way).
+    pub fn drain(&self, timeout: Duration) -> bool {
+        self.state.quiesce.store(true, Ordering::SeqCst);
+        let deadline = Instant::now() + timeout;
+        while self.inflight() > 0 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        let drained = self.inflight() == 0;
+        self.stop_accepting();
+        drained
+    }
+
+    /// Raises the stop flag, then wakes the accept thread blocked in
+    /// `accept` with a connection of our own, aimed at loopback when the
+    /// server is bound to an unspecified address. Only the first call
+    /// connects: once the listener is closed its port may belong to
+    /// another server.
+    fn stop_accepting(&self) {
+        if self.state.stop.swap(true, Ordering::SeqCst) {
+            return;
+        }
+        let mut wake = self.addr;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        let _ = TcpStream::connect(wake);
     }
 }
 
-impl Drop for MetricsServer {
+impl Drop for HttpServer {
     fn drop(&mut self) {
         self.shutdown();
         if let Some(handle) = self.accept_thread.take() {
@@ -135,55 +265,92 @@ impl Drop for MetricsServer {
     }
 }
 
-fn accept_loop(listener: TcpListener, telemetry: Telemetry, stop: Arc<AtomicBool>) {
-    while !stop.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                let telemetry = telemetry.clone();
-                let stop = stop.clone();
-                // Handlers are short-lived (snapshot renders) or
-                // self-terminating (event streams watch `stop`); they are
-                // deliberately detached.
-                let _ = std::thread::Builder::new()
-                    .name("metrics-conn".to_string())
-                    .spawn(move || {
-                        let _ = handle_connection(stream, &telemetry, &stop);
-                    });
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(ACCEPT_POLL);
-            }
-            Err(_) => break,
+fn accept_loop<R: Routes>(
+    listener: TcpListener,
+    routes: Arc<R>,
+    state: Arc<ServerState>,
+    max_inflight: usize,
+) {
+    loop {
+        let accepted = listener.accept();
+        let accepted_at = Instant::now();
+        if state.stop.load(Ordering::SeqCst) {
+            break;
+        }
+        let Ok((stream, _peer)) = accepted else {
+            break;
+        };
+        // A draining server takes no new work: answer with the typed
+        // draining 503 so clients can tell shutdown from overload.
+        if state.quiesce.load(Ordering::SeqCst) {
+            routes.rejected();
+            reject_connection(stream, "draining", "shutting down");
+            continue;
+        }
+        // The shed decision is taken here, before any request work:
+        // claim a slot, and give it back immediately when the server is
+        // saturated.
+        if state.inflight.fetch_add(1, Ordering::SeqCst) >= max_inflight {
+            state.inflight.fetch_sub(1, Ordering::SeqCst);
+            routes.rejected();
+            reject_connection(stream, "shed", "overloaded");
+            continue;
+        }
+        let (conn_routes, conn_state) = (routes.clone(), state.clone());
+        let spawned = std::thread::Builder::new()
+            .name("http-conn".to_string())
+            .spawn(move || {
+                let _ = handle_connection(stream, &*conn_routes, accepted_at, &conn_state.quiesce);
+                conn_state.inflight.fetch_sub(1, Ordering::SeqCst);
+            });
+        if spawned.is_err() {
+            // Spawn failure sheds too: the slot was claimed but no
+            // handler will run or respond.
+            state.inflight.fetch_sub(1, Ordering::SeqCst);
+            routes.rejected();
         }
     }
 }
 
-fn handle_connection(
+/// Reads one request off `stream` and hands it to `routes`; unparsable
+/// connections (garbage bytes, an over-sized head or body) are dropped
+/// without reaching the routes: they never became requests.
+fn handle_connection<R: Routes>(
     stream: TcpStream,
-    telemetry: &Telemetry,
+    routes: &R,
+    accepted: Instant,
     stop: &AtomicBool,
 ) -> io::Result<()> {
     stream.set_read_timeout(Some(REQUEST_TIMEOUT))?;
     stream.set_nodelay(true).ok();
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let request = match read_request(&mut reader)? {
-        Some(request) => request,
-        None => return Ok(()),
-    };
-    // The metrics server is strictly read-only: non-GET is dropped.
-    if request.method != "GET" {
+    let Some(request) = read_request(&mut BufReader::new(stream.try_clone()?))? else {
         return Ok(());
-    }
-    let mut stream = stream;
-    match respond_telemetry(&request, stream.try_clone()?, telemetry, stop, None) {
-        Some(result) => result,
-        None => write_response(
-            &mut stream,
-            "404 Not Found",
-            "text/plain; charset=utf-8",
-            "not found: /metrics /snapshot /healthz /events /traces /trace/<id> /convergence\n",
-        ),
-    }
+    };
+    routes.respond(request, stream, accepted, stop)
+}
+
+/// Answers an accepted connection with a typed 503 off the accept
+/// thread: the socket still holds the client's unread request bytes, and
+/// closing over them raises a RST that can destroy the 503 in flight.
+/// Half-close and drain to EOF instead.
+fn reject_connection(stream: TcpStream, kind: &'static str, reason: &'static str) {
+    let _ = std::thread::Builder::new()
+        .name("http-shed".to_string())
+        .spawn(move || {
+            let mut stream = stream;
+            stream.set_nodelay(true).ok();
+            let _ = write_response(
+                &mut stream,
+                "503 Service Unavailable",
+                "application/json",
+                &format!("{{\"type\":\"{kind}\",\"reason\":\"{reason}\"}}"),
+                None,
+            );
+            let _ = stream.shutdown(std::net::Shutdown::Write);
+            stream.set_read_timeout(Some(REQUEST_TIMEOUT)).ok();
+            let mut sink = [0u8; 1024];
+            while matches!(stream.read(&mut sink), Ok(n) if n > 0) {}
+        });
 }
 
 /// Serves the shared telemetry routes (`GET /metrics`, `/snapshot`,
@@ -195,7 +362,7 @@ fn handle_connection(
 /// response as an `X-Request-Id` header.
 pub fn respond_telemetry(
     request: &HttpRequest,
-    stream: TcpStream,
+    mut stream: TcpStream,
     telemetry: &Telemetry,
     stop: &AtomicBool,
     request_id: Option<&str>,
@@ -203,67 +370,40 @@ pub fn respond_telemetry(
     if request.method != "GET" {
         return None;
     }
-    let rid_header: Vec<(&str, &str)> = match request_id {
-        Some(rid) => vec![("X-Request-Id", rid)],
-        None => Vec::new(),
-    };
-    let mut stream = stream;
-    match request.path.as_str() {
-        "/metrics" => {
-            let body = telemetry
+    const JSON: &str = "application/json";
+    const OK: &str = "200 OK";
+    let (status, content_type, body) = match request.path.as_str() {
+        "/metrics" => (
+            OK,
+            "text/plain; version=0.0.4; charset=utf-8",
+            telemetry
                 .snapshot()
                 .map(|snap| render_prometheus(&snap))
-                .unwrap_or_default();
-            Some(write_response_with(
-                &mut stream,
-                "200 OK",
-                "text/plain; version=0.0.4; charset=utf-8",
-                &body,
-                &rid_header,
-            ))
-        }
-        "/snapshot" => {
-            let body = telemetry
+                .unwrap_or_default(),
+        ),
+        "/snapshot" => (
+            OK,
+            JSON,
+            telemetry
                 .snapshot()
                 .map(|snap| snapshot_to_json(&snap))
-                .unwrap_or_else(|| "{\"type\":\"snapshot\"}".to_string());
-            Some(write_response_with(
-                &mut stream,
-                "200 OK",
-                "application/json",
-                &body,
-                &rid_header,
-            ))
-        }
-        "/healthz" => {
-            let body = telemetry
+                .unwrap_or_else(|| "{\"type\":\"snapshot\"}".to_string()),
+        ),
+        "/healthz" => (
+            OK,
+            JSON,
+            telemetry
                 .health()
                 .map(|h| h.snapshot())
                 .unwrap_or_default()
-                .to_json();
-            Some(write_response_with(
-                &mut stream,
-                "200 OK",
-                "application/json",
-                &body,
-                &rid_header,
-            ))
+                .to_json(),
+        ),
+        "/events" => return Some(stream_bus(stream, telemetry, stop, None, false)),
+        "/convergence" | "/convergence/sse" => {
+            let sse = request.path.ends_with("/sse");
+            let filter = Some(CONVERGENCE_PREFIX);
+            return Some(stream_bus(stream, telemetry, stop, filter, sse));
         }
-        "/events" => Some(stream_bus(stream, telemetry, stop, None, false)),
-        "/convergence" => Some(stream_bus(
-            stream,
-            telemetry,
-            stop,
-            Some(CONVERGENCE_PREFIX),
-            false,
-        )),
-        "/convergence/sse" => Some(stream_bus(
-            stream,
-            telemetry,
-            stop,
-            Some(CONVERGENCE_PREFIX),
-            true,
-        )),
         "/traces" => {
             let mut body = String::from("{\"type\":\"traces\",\"traces\":[");
             for (i, tree) in telemetry.trace_trees().iter().enumerate() {
@@ -281,30 +421,16 @@ pub fn respond_telemetry(
                 );
             }
             body.push_str("]}");
-            Some(write_response_with(
-                &mut stream,
-                "200 OK",
-                "application/json",
-                &body,
-                &rid_header,
-            ))
+            (OK, JSON, body)
         }
-        "/trace/last" => Some(match telemetry.last_trace() {
-            Some(tree) => write_response_with(
-                &mut stream,
-                "200 OK",
-                "application/json",
-                &tree.to_json(),
-                &rid_header,
-            ),
-            None => write_response_with(
-                &mut stream,
+        "/trace/last" => match telemetry.last_trace() {
+            Some(tree) => (OK, JSON, tree.to_json()),
+            None => (
                 "404 Not Found",
-                "application/json",
-                "{\"type\":\"error\",\"reason\":\"no_traces\"}",
-                &rid_header,
+                JSON,
+                "{\"type\":\"error\",\"reason\":\"no_traces\"}".to_string(),
             ),
-        }),
+        },
         path => {
             let spec = path.strip_prefix("/trace/")?;
             let (id_part, profile) = match spec.strip_suffix("/profile") {
@@ -317,52 +443,47 @@ pub fn respond_telemetry(
                 .unwrap_or(id_part)
                 .parse::<u64>()
                 .ok()?;
-            Some(match telemetry.trace_tree(id) {
-                Some(tree) if profile => write_response_with(
-                    &mut stream,
-                    "200 OK",
-                    "text/plain; charset=utf-8",
-                    &tree.profile_text(),
-                    &rid_header,
-                ),
-                Some(tree) => write_response_with(
-                    &mut stream,
-                    "200 OK",
-                    "application/json",
-                    &tree.to_json(),
-                    &rid_header,
-                ),
-                None => write_response_with(
-                    &mut stream,
+            match telemetry.trace_tree(id) {
+                Some(tree) if profile => (OK, "text/plain; charset=utf-8", tree.profile_text()),
+                Some(tree) => (OK, JSON, tree.to_json()),
+                None => (
                     "404 Not Found",
-                    "application/json",
-                    "{\"type\":\"error\",\"reason\":\"unknown_trace\"}",
-                    &rid_header,
+                    JSON,
+                    "{\"type\":\"error\",\"reason\":\"unknown_trace\"}".to_string(),
                 ),
-            })
+            }
         }
-    }
+    };
+    Some(write_response(
+        &mut stream,
+        status,
+        content_type,
+        &body,
+        request_id,
+    ))
 }
 
 /// Reads one request — request line, headers, and a `Content-Length`
 /// body — and returns it, or `None` for anything unparsable or
-/// over-sized. The header block is bounded by [`MAX_HEADER_BYTES`] and
-/// the body by [`MAX_BODY_BYTES`].
-pub fn read_request(reader: &mut BufReader<TcpStream>) -> io::Result<Option<HttpRequest>> {
+/// over-sized. The head is read through a [`MAX_HEADER_BYTES`] limit, so
+/// a client that never sends a newline cannot grow a line buffer past
+/// it; the body is bounded by [`MAX_BODY_BYTES`].
+fn read_request<R: BufRead>(reader: &mut R) -> io::Result<Option<HttpRequest>> {
+    let mut head = reader.by_ref().take(MAX_HEADER_BYTES as u64);
     let mut request_line = String::new();
-    if reader.read_line(&mut request_line)? == 0 {
+    if matches!(head_line(&mut head, &mut request_line)?, None | Some(0)) {
         return Ok(None);
     }
     // Drain the header block so the client never sees a reset while the
     // request is still in flight, scanning for Content-Length.
-    let mut drained = 0usize;
     let mut content_length = 0usize;
     loop {
         let mut header = String::new();
-        let n = reader.read_line(&mut header)?;
-        drained += n;
-        if n == 0 || header == "\r\n" || header == "\n" || drained > MAX_HEADER_BYTES {
-            break;
+        match head_line(&mut head, &mut header)? {
+            None => return Ok(None),
+            Some(0) => break,
+            Some(_) if header == "\r\n" || header == "\n" => break,
+            Some(_) => {}
         }
         if let Some((name, value)) = header.split_once(':') {
             if name.trim().eq_ignore_ascii_case("content-length") {
@@ -390,7 +511,15 @@ pub fn read_request(reader: &mut BufReader<TcpStream>) -> io::Result<Option<Http
     }))
 }
 
-/// Writes one `Connection: close` HTTP response.
+/// Reads one head line into `line`, returning its length (`0` at EOF),
+/// or `None` when the head limit cut the line short.
+fn head_line<R: BufRead>(head: &mut io::Take<R>, line: &mut String) -> io::Result<Option<usize>> {
+    let n = head.read_line(line)?;
+    Ok((line.ends_with('\n') || head.limit() > 0).then_some(n))
+}
+
+/// Writes one `Connection: close` HTTP response, stamped with an
+/// `X-Request-Id` header when the caller assigned the request an id.
 ///
 /// # Errors
 ///
@@ -401,30 +530,14 @@ pub fn write_response(
     status: &str,
     content_type: &str,
     body: &str,
-) -> io::Result<()> {
-    write_response_with(stream, status, content_type, body, &[])
-}
-
-/// [`write_response`] with extra response headers (name, value) — the
-/// policy daemon uses this to stamp `X-Request-Id` on every response.
-///
-/// # Errors
-///
-/// Propagates the underlying socket write error.
-pub fn write_response_with(
-    stream: &mut TcpStream,
-    status: &str,
-    content_type: &str,
-    body: &str,
-    extra_headers: &[(&str, &str)],
+    request_id: Option<&str>,
 ) -> io::Result<()> {
     let mut head = format!(
         "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n",
         body.len()
     );
-    for (name, value) in extra_headers {
-        use std::fmt::Write as _;
-        let _ = write!(head, "{name}: {value}\r\n");
+    if let Some(rid) = request_id {
+        head.push_str(&format!("X-Request-Id: {rid}\r\n"));
     }
     head.push_str("\r\n");
     stream.write_all(head.as_bytes())?;
@@ -458,6 +571,7 @@ fn stream_bus(
             "503 Service Unavailable",
             "text/plain; charset=utf-8",
             "no event bus attached (is --metrics-listen set?)\n",
+            None,
         );
     };
     let subscription = bus.subscribe();
@@ -540,7 +654,7 @@ mod tests {
     #[test]
     fn metrics_endpoint_serves_prometheus_text() {
         let telemetry = test_telemetry();
-        let server = MetricsServer::bind("127.0.0.1:0", telemetry).expect("bind");
+        let server = HttpServer::metrics("127.0.0.1:0", telemetry).expect("bind");
         let (head, body) = http_get(server.local_addr(), "/metrics");
         assert!(head.starts_with("HTTP/1.1 200 OK"), "{head}");
         assert!(head.contains("text/plain; version=0.0.4"), "{head}");
@@ -559,7 +673,7 @@ mod tests {
             .health()
             .unwrap()
             .record_window(1, "trained", None);
-        let server = MetricsServer::bind("127.0.0.1:0", telemetry).expect("bind");
+        let server = HttpServer::metrics("127.0.0.1:0", telemetry).expect("bind");
         let (head, body) = http_get(server.local_addr(), "/snapshot");
         assert!(head.contains("application/json"), "{head}");
         assert!(body.starts_with("{\"type\":\"snapshot\""), "{body}");
@@ -571,7 +685,7 @@ mod tests {
 
     #[test]
     fn unknown_routes_get_404_and_post_is_dropped() {
-        let server = MetricsServer::bind("127.0.0.1:0", test_telemetry()).expect("bind");
+        let server = HttpServer::metrics("127.0.0.1:0", test_telemetry()).expect("bind");
         let (head, _) = http_get(server.local_addr(), "/nope");
         assert!(head.starts_with("HTTP/1.1 404"), "{head}");
         let mut stream = TcpStream::connect(server.local_addr()).unwrap();
@@ -635,9 +749,87 @@ mod tests {
     }
 
     #[test]
+    fn read_request_rejects_a_head_over_the_bound() {
+        let long_path = format!("GET /{} HTTP/1.1\r\n\r\n", "a".repeat(9 * 1024));
+        assert_eq!(read_request(&mut long_path.as_bytes()).unwrap(), None);
+        let long_header = format!(
+            "GET /metrics HTTP/1.1\r\nX-Pad: {}\r\n\r\n",
+            "b".repeat(MAX_HEADER_BYTES)
+        );
+        assert_eq!(read_request(&mut long_header.as_bytes()).unwrap(), None);
+        // A head just under the bound still parses.
+        let fits = format!(
+            "GET /metrics HTTP/1.1\r\nX-Pad: {}\r\n\r\n",
+            "c".repeat(MAX_HEADER_BYTES - 64)
+        );
+        let request = read_request(&mut fits.as_bytes())
+            .unwrap()
+            .expect("parsable");
+        assert_eq!(request.path, "/metrics");
+    }
+
+    #[test]
+    fn sequential_requests_are_not_paced_by_the_accept_loop() {
+        let server = HttpServer::metrics("127.0.0.1:0", test_telemetry()).expect("bind");
+        let started = Instant::now();
+        for _ in 0..40 {
+            let (head, _) = http_get(server.local_addr(), "/healthz");
+            assert!(head.starts_with("HTTP/1.1 200"), "{head}");
+        }
+        let elapsed = started.elapsed();
+        assert!(
+            elapsed < Duration::from_millis(500),
+            "40 requests took {elapsed:?}"
+        );
+    }
+
+    /// Drops `server` on another thread and fails unless that finishes
+    /// within one second.
+    fn assert_drops_promptly(server: HttpServer) {
+        let (done, finished) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            drop(server);
+            let _ = done.send(());
+        });
+        finished
+            .recv_timeout(Duration::from_secs(1))
+            .expect("the accept thread was not woken within 1 s");
+    }
+
+    #[test]
+    fn servers_on_unspecified_addresses_stop_promptly() {
+        assert_drops_promptly(HttpServer::metrics("0.0.0.0:0", test_telemetry()).expect("bind"));
+        let server = HttpServer::metrics("0.0.0.0:0", test_telemetry()).expect("bind");
+        assert!(server.drain(Duration::from_secs(1)), "idle drain timed out");
+        assert_drops_promptly(server);
+    }
+
+    #[test]
+    fn telemetry_routes_shed_over_the_bound_and_touch_no_counter() {
+        let telemetry = test_telemetry();
+        let before = snapshot_to_json(&telemetry.snapshot().unwrap());
+        let server =
+            HttpServer::bind("127.0.0.1:0", 1, TelemetryRoutes(telemetry.clone())).expect("bind");
+        // An open /events stream holds the only slot until the bus closes.
+        let mut held = TcpStream::connect(server.local_addr()).unwrap();
+        write!(held, "GET /events HTTP/1.1\r\n\r\n").unwrap();
+        let mut first = [0u8; 1];
+        held.read_exact(&mut first).unwrap();
+        let (head, body) = http_get(server.local_addr(), "/metrics");
+        assert!(head.starts_with("HTTP/1.1 503"), "{head}");
+        assert_eq!(body, "{\"type\":\"shed\",\"reason\":\"overloaded\"}");
+        telemetry.bus().unwrap().close();
+        let mut rest = String::new();
+        held.read_to_string(&mut rest).unwrap();
+        assert!(server.drain(Duration::from_secs(5)), "drain timed out");
+        assert_eq!(server.inflight(), 0);
+        assert_eq!(snapshot_to_json(&telemetry.snapshot().unwrap()), before);
+    }
+
+    #[test]
     fn events_stream_delivers_published_lines_until_close() {
         let telemetry = test_telemetry();
-        let server = MetricsServer::bind("127.0.0.1:0", telemetry.clone()).expect("bind");
+        let server = HttpServer::metrics("127.0.0.1:0", telemetry.clone()).expect("bind");
         let addr = server.local_addr();
         let reader = std::thread::spawn(move || {
             let mut stream = TcpStream::connect(addr).unwrap();
@@ -690,7 +882,7 @@ mod tests {
             let _child = telemetry.span("advise");
         }
         let trace = telemetry.last_trace().expect("finished").trace;
-        let server = MetricsServer::bind("127.0.0.1:0", telemetry).expect("bind");
+        let server = HttpServer::metrics("127.0.0.1:0", telemetry).expect("bind");
         let addr = server.local_addr();
         let (head, body) = http_get(addr, &format!("/trace/{trace}"));
         assert!(head.starts_with("HTTP/1.1 200 OK"), "{head}");
@@ -727,7 +919,7 @@ mod tests {
     #[test]
     fn convergence_stream_filters_to_convergence_events_only() {
         let telemetry = test_telemetry();
-        let server = MetricsServer::bind("127.0.0.1:0", telemetry.clone()).expect("bind");
+        let server = HttpServer::metrics("127.0.0.1:0", telemetry.clone()).expect("bind");
         let addr = server.local_addr();
         let reader = std::thread::spawn(move || {
             let mut stream = TcpStream::connect(addr).unwrap();
@@ -766,7 +958,7 @@ mod tests {
     #[test]
     fn sse_stream_frames_convergence_lines_as_events() {
         let telemetry = test_telemetry();
-        let server = MetricsServer::bind("127.0.0.1:0", telemetry.clone()).expect("bind");
+        let server = HttpServer::metrics("127.0.0.1:0", telemetry.clone()).expect("bind");
         let addr = server.local_addr();
         let reader = std::thread::spawn(move || {
             let mut stream = TcpStream::connect(addr).unwrap();
@@ -818,7 +1010,7 @@ mod tests {
     fn events_without_a_bus_get_503() {
         let telemetry =
             Telemetry::with_parts(Some(JsonlSink::from_writer(Box::new(io::sink()))), None);
-        let server = MetricsServer::bind("127.0.0.1:0", telemetry).expect("bind");
+        let server = HttpServer::metrics("127.0.0.1:0", telemetry).expect("bind");
         let (head, body) = http_get(server.local_addr(), "/events");
         assert!(head.starts_with("HTTP/1.1 503"), "{head}");
         assert!(body.contains("no event bus"), "{body}");

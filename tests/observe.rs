@@ -18,7 +18,7 @@ use recovery_core::pipeline::{
 use recovery_core::trainer::TrainerConfig;
 use recovery_diagnostics::DiagnosticsRecorder;
 use recovery_simlog::{CatalogConfig, ClusterConfig, FaultCatalog, SimDuration};
-use recovery_telemetry::{Event, EventBus, MetricsServer, ObserverHandle, Telemetry};
+use recovery_telemetry::{Event, EventBus, HttpServer, ObserverHandle, Telemetry};
 
 fn small_cluster() -> ClusterConfig {
     ClusterConfig {
@@ -92,7 +92,7 @@ fn live_observability_does_not_change_loop_outcomes_or_policy() {
         let stalled = bus.subscribe_with_capacity(1);
         let healthy = bus.subscribe();
         let telemetry = Telemetry::with_parts(None, Some(bus.clone()));
-        let server = MetricsServer::bind("127.0.0.1:0", telemetry.clone()).expect("bind");
+        let server = HttpServer::metrics("127.0.0.1:0", telemetry.clone()).expect("bind");
         let observed = run_loop(&catalog, &loop_config(3, threads), &telemetry);
         drop(server);
 
@@ -238,7 +238,7 @@ fn assert_valid_prometheus(body: &str) {
 fn exposition_endpoints_reflect_a_degraded_loop() {
     let catalog = small_catalog();
     let telemetry = Telemetry::with_parts(None, Some(EventBus::default()));
-    let server = MetricsServer::bind("127.0.0.1:0", telemetry.clone()).expect("bind");
+    let server = HttpServer::metrics("127.0.0.1:0", telemetry.clone()).expect("bind");
     let config = ContinuousLoopConfig {
         faults: LoopFaultPlan::none().with_empty_window(2),
         ..loop_config(3, 2)
@@ -289,7 +289,7 @@ fn exposition_endpoints_reflect_a_degraded_loop() {
 fn events_endpoint_streams_window_summaries_live() {
     let catalog = small_catalog();
     let telemetry = Telemetry::with_parts(None, Some(EventBus::default()));
-    let server = MetricsServer::bind("127.0.0.1:0", telemetry.clone()).expect("bind");
+    let server = HttpServer::metrics("127.0.0.1:0", telemetry.clone()).expect("bind");
     let addr = server.local_addr();
 
     let reader = std::thread::spawn(move || {
@@ -341,7 +341,7 @@ fn events_endpoint_streams_window_summaries_live() {
 fn healthz_keeps_last_good_policy_version_through_degraded_windows() {
     let catalog = small_catalog();
     let telemetry = Telemetry::with_parts(None, Some(EventBus::default()));
-    let server = MetricsServer::bind("127.0.0.1:0", telemetry.clone()).expect("bind");
+    let server = HttpServer::metrics("127.0.0.1:0", telemetry.clone()).expect("bind");
     let health = telemetry.health().expect("enabled");
 
     // Before anything was published the field is absent entirely.
@@ -496,7 +496,7 @@ fn traced_streamed_loop_trains_byte_identical_policies() {
         let bus = EventBus::default();
         let sub = bus.subscribe_with_capacity(4096);
         let telemetry = Telemetry::with_parts(None, Some(bus.clone()));
-        let server = MetricsServer::bind("127.0.0.1:0", telemetry.clone()).expect("bind");
+        let server = HttpServer::metrics("127.0.0.1:0", telemetry.clone()).expect("bind");
         let addr = server.local_addr();
         // A live NDJSON subscriber on /convergence for the whole run.
         let streamer = std::thread::spawn(move || {
@@ -564,7 +564,7 @@ fn traced_streamed_loop_trains_byte_identical_policies() {
 fn trace_endpoints_expose_nested_span_trees_from_a_live_loop() {
     let catalog = small_catalog();
     let telemetry = Telemetry::with_parts(None, Some(EventBus::default()));
-    let server = MetricsServer::bind("127.0.0.1:0", telemetry.clone()).expect("bind");
+    let server = HttpServer::metrics("127.0.0.1:0", telemetry.clone()).expect("bind");
     let _ = run_loop(&catalog, &loop_config(2, 2), &telemetry);
 
     let (head, listing) = http_get(server.local_addr(), "/traces");
@@ -615,7 +615,7 @@ fn trace_endpoints_expose_nested_span_trees_from_a_live_loop() {
 #[test]
 fn convergence_sse_frames_lines_as_data_events() {
     let telemetry = Telemetry::with_parts(None, Some(EventBus::default()));
-    let server = MetricsServer::bind("127.0.0.1:0", telemetry.clone()).expect("bind");
+    let server = HttpServer::metrics("127.0.0.1:0", telemetry.clone()).expect("bind");
     let addr = server.local_addr();
     let bus = telemetry.bus().unwrap().clone();
     let streamer = std::thread::spawn(move || {

@@ -9,7 +9,7 @@
 //!   `explain_policy` rendering of the same state at the same version;
 //! - served snapshots are byte-identical across worker thread counts;
 //! - `serve.requests == serve.served + serve.shed` at every quiescent
-//!   point, under arbitrary load and shedding schedules (proptest);
+//!   point, under arbitrary load and held in-flight slots (proptest);
 //! - an interleaved publisher/reader schedule never yields a
 //!   (version, hash) pair that was not published (proptest).
 
@@ -535,16 +535,19 @@ proptest! {
         prop_assert_eq!(distinct.len(), publishes);
     }
 
-    /// The shedding ledger balances under arbitrary load: with a slow
-    /// handler and a small in-flight bound, every well-formed connection
-    /// is counted exactly once as served or shed, and the typed-503 count
-    /// the clients saw equals `serve.shed`.
+    /// The shedding ledger balances under arbitrary load: `held` open
+    /// `/events` streams each keep an in-flight slot until the bus
+    /// closes, then a burst of clients arrives. Every well-formed
+    /// connection (streams included) is counted exactly once as served
+    /// or shed, the typed-503 count the clients saw equals `serve.shed`,
+    /// and with every slot held every client is shed.
     #[test]
     fn shed_accounting_balances_under_random_load(
         clients in 2usize..10,
         max_inflight in 1usize..4,
-        delay_ms in 5u64..25,
+        held_pick in 0usize..4,
     ) {
+        let held = held_pick % (max_inflight + 1);
         let telemetry = Telemetry::with_parts(None, Some(EventBus::default()));
         let mut symptoms = SymptomCatalog::default();
         symptoms.intern("error:Prop");
@@ -554,13 +557,22 @@ proptest! {
             "127.0.0.1:0",
             store,
             telemetry.clone(),
-            ServeConfig::default()
-                .with_max_inflight(max_inflight)
-                .with_handler_delay(Duration::from_millis(delay_ms)),
+            ServeConfig::default().with_max_inflight(max_inflight),
         )
         .expect("bind daemon");
         let addr = daemon.local_addr();
 
+        // Open the streams one at a time: the first response byte proves
+        // the handler runs and holds its slot before the next connects.
+        let streams: Vec<TcpStream> = (0..held)
+            .map(|_| {
+                let mut stream = TcpStream::connect(addr).expect("connect to daemon");
+                stream.write_all(b"GET /events HTTP/1.1\r\nHost: test\r\n\r\n").unwrap();
+                let mut first = [0u8; 1];
+                stream.read_exact(&mut first).expect("stream head");
+                stream
+            })
+            .collect();
         let handles: Vec<_> = (0..clients)
             .map(|_| std::thread::spawn(move || get(addr, "/policy")))
             .collect();
@@ -577,26 +589,34 @@ proptest! {
             }
         }
         prop_assert_eq!(ok + shed, clients as u64);
+        if held == max_inflight {
+            prop_assert_eq!(shed, clients as u64, "every slot was held");
+        }
+        // Closing the bus ends the streams and frees their slots.
+        telemetry.bus().unwrap().close();
+        for mut stream in streams {
+            let mut rest = Vec::new();
+            let _ = stream.read_to_end(&mut rest);
+        }
         // Handlers decrement in-flight after the client sees the bytes;
         // wait for the ledger to go quiescent before balancing it.
+        let requests = (clients + held) as u64;
         let registry = telemetry.registry().unwrap();
         let deadline = std::time::Instant::now() + Duration::from_secs(10);
         loop {
-            let requests = registry.counter("serve.requests").get();
+            let seen = registry.counter("serve.requests").get();
             let settled = registry.counter("serve.served").get()
                 + registry.counter("serve.shed").get();
-            if (requests == settled && requests == clients as u64)
-                || std::time::Instant::now() > deadline
-            {
+            if (seen == settled && seen == requests) || std::time::Instant::now() > deadline {
                 break;
             }
             std::thread::sleep(Duration::from_millis(5));
         }
-        prop_assert_eq!(registry.counter("serve.requests").get(), clients as u64);
+        prop_assert_eq!(registry.counter("serve.requests").get(), requests);
         prop_assert_eq!(registry.counter("serve.shed").get(), shed);
         prop_assert_eq!(
             registry.counter("serve.served").get() + registry.counter("serve.shed").get(),
-            clients as u64
+            requests
         );
     }
 }
