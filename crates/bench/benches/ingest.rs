@@ -3,8 +3,8 @@
 //!
 //! Two measurements back the perf claims of the ingestion work:
 //!
-//! * **Ingestion throughput.** `recovery_core::ingest::ingest` (catalog
-//!   prescan + parse shards + split shards) against the sequential
+//! * **Ingestion throughput.** `recovery_core::ingest::parse_log` +
+//!   `split_processes` (parse shards + split shards) against the sequential
 //!   `RecoveryLog::from_text` + `split_processes` path, asserting the
 //!   outputs are identical before timing anything. In sampling mode
 //!   (`cargo bench -- --bench`) the comparison is written to
@@ -71,7 +71,10 @@ fn sequential_ingest(text: &str) -> (RecoveryLog, Vec<RecoveryProcess>) {
 
 fn sharded_ingest(text: &str, threads: usize) -> (RecoveryLog, Vec<RecoveryProcess>) {
     let pool = WorkerPool::new(threads);
-    ingest::ingest(text, &pool, &Telemetry::disabled()).expect("bench log ingests")
+    let telemetry = Telemetry::disabled();
+    let mut log = ingest::parse_log(text, &pool, &telemetry).expect("bench log parses");
+    let processes = ingest::split_processes(&mut log, &pool, &telemetry);
+    (log, processes)
 }
 
 /// One line per process with every field resolved: any ingestion

@@ -42,7 +42,7 @@ use std::fs::{self, File, OpenOptions};
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 
-use recovery_simlog::{LogEntry, RecoveryLog, RecoveryProcess, SimDuration, SymptomCatalog};
+use recovery_simlog::{read_entries, RecoveryLog, RecoveryProcess, SimDuration, SymptomCatalog};
 use recovery_telemetry::Telemetry;
 
 use crate::fault::{CrashPlan, CrashPoint};
@@ -660,16 +660,10 @@ impl DurableLoop {
         let mut catalog_symptoms = symptoms.clone();
         let mut accumulated: Vec<RecoveryProcess> = Vec::new();
         for record in &scan.records[..keep] {
-            let mut entries = Vec::new();
-            for (i, line) in record.payload.lines().enumerate() {
-                let line = line.trim_end_matches('\r');
-                if line.is_empty() || line.starts_with('#') {
-                    continue;
-                }
-                let entry = LogEntry::parse_line(line, &mut catalog_symptoms)
-                    .map_err(|e| format!("journal record {}: line {}: {e}", record.index, i + 1))?;
-                entries.push(entry);
-            }
+            let lines = (1..).zip(record.payload.lines());
+            let entries = read_entries(lines, &mut catalog_symptoms, |line, _, e| {
+                Err(format!("journal record {}: line {line}: {e}", record.index))
+            })?;
             let mut log = RecoveryLog::from_parts(entries, catalog_symptoms.clone());
             let processes = crate::ingest::split_processes(&mut log, pool, &replay_telemetry);
             accumulated.extend(processes);

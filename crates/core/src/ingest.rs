@@ -5,16 +5,18 @@
 //! turning them into training data — [`RecoveryLog::from_text`] and
 //! [`RecoveryLog::split_processes`] — were single-threaded. This module
 //! fans them out over a [`WorkerPool`] while preserving the workspace's
-//! determinism contract:
+//! determinism contract. Both phases fan out over the same fixed
+//! [`INGEST_SHARDS`] count, whatever the pool width:
 //!
-//! * **Catalog prescan** (sequential). Symptom descriptions are interned
-//!   in first-appearance line order *before* any fan-out, so `SymptomId`s
-//!   never depend on which worker saw a description first.
 //! * **Parse shards** (parallel). The text is split into contiguous line
-//!   ranges; each worker parses its range against the shared read-only
-//!   catalog. Concatenating shard outputs in range order reproduces the
-//!   sequential entry order, and the first parse error of the
-//!   lowest-numbered failing line wins — exactly the sequential error.
+//!   ranges; each worker reads its range with
+//!   [`recovery_simlog::read_entries`] into its *own* symptom catalog.
+//!   The merge walks the shards in range order, interns each shard's
+//!   names into the global catalog and renumbers that shard's
+//!   `SymptomId`s. Because the ranges are contiguous and ordered, global
+//!   ids come out in whole-text first-appearance order — exactly the ids
+//!   the sequential parser assigns — and the first error of the
+//!   lowest-numbered failing line wins, as it does sequentially.
 //! * **Split shards** (parallel). Machines never interact during process
 //!   extraction, so each worker runs the per-machine state machine over
 //!   the machines of its shard (`machine.index() % shards`). The merge
@@ -23,20 +25,19 @@
 //!   shard), so the result is byte-identical to the sequential split.
 //!
 //! Phase timings are reported through [`Telemetry`] spans
-//! (`catalog_prescan`, `parse_shards`, `merge_entries`, `split_shards`,
-//! `merge_processes`), so `--metrics-out` captures ingestion like it
-//! already captures training.
+//! (`parse_shards`, `merge_entries`, `split_shards`, `merge_processes`),
+//! so `--metrics-out` captures ingestion like it already captures
+//! training.
 //!
 //! # Lenient ingestion
 //!
-//! Strict parsing ([`parse_log`], [`ingest`]) stops at the first
-//! malformed line — the right behavior for trusted, generated fixtures,
-//! and byte-identical to [`RecoveryLog::from_text`]. Field logs are
-//! dirtier: torn writes, encoding damage, and foreign lines are routine,
-//! and the paper's whole premise is learning from noisy logs. So
-//! [`parse_log_with_policy`] additionally offers two lenient
-//! [`ParseErrorPolicy`] modes that *skip* malformed lines instead of
-//! failing:
+//! Strict parsing ([`parse_log`]) stops at the first malformed line —
+//! the right behavior for trusted, generated fixtures, and byte-identical
+//! to [`RecoveryLog::from_text`]. Field logs are dirtier: torn writes,
+//! encoding damage, and foreign lines are routine, and the paper's whole
+//! premise is learning from noisy logs. So [`parse_log_with_policy`]
+//! additionally offers two lenient [`ParseErrorPolicy`] modes that *skip*
+//! malformed lines instead of failing:
 //!
 //! * [`ParseErrorPolicy::Skip`] counts skipped lines per
 //!   [`ParseLogErrorKind`] and drops them;
@@ -44,21 +45,21 @@
 //!   [`QUARANTINE_CAPACITY`] offending lines (number, kind, truncated
 //!   text) in a bounded [`QuarantineReport`] buffer for inspection.
 //!
-//! Lenient parsing always runs the prescan-and-shard path — even on a
-//! single thread — so which lines survive is decided by the same code
-//! for every thread count, and the surviving log plus every quarantine
-//! counter is byte-identical across pool sizes. Skipped lines are
-//! surfaced through telemetry (`ingest.lines_skipped`,
-//! `ingest.parse_error.<kind>`, `ingest.quarantined` counters and
-//! `quarantine` events), so degraded ingestion is observable, never
-//! silent.
+//! Strict and lenient runs are the same engine; only what happens to a
+//! bad line differs. A skipped line interns nothing, so a lenient parse
+//! equals a strict parse of the text with the bad lines deleted, and the
+//! surviving log plus every quarantine counter is byte-identical across
+//! pool sizes. Skipped lines are surfaced through telemetry
+//! (`ingest.lines_skipped`, `ingest.parse_error.<kind>`,
+//! `ingest.quarantined` counters and `quarantine` events), so degraded
+//! ingestion is observable, never silent.
 
 use std::fmt;
 use std::str::FromStr;
 
 use recovery_simlog::{
-    extract_processes, LogEntry, ParseLogError, ParseLogErrorKind, RecoveryLog, RecoveryProcess,
-    SymptomCatalog,
+    extract_processes, read_entries, LogEntry, LogEvent, ParseLogError, ParseLogErrorKind,
+    RecoveryLog, RecoveryProcess, SymptomCatalog, SymptomId,
 };
 use recovery_telemetry::{Event, Telemetry};
 
@@ -248,151 +249,88 @@ pub fn parse_log(
     pool: &WorkerPool,
     telemetry: &Telemetry,
 ) -> Result<RecoveryLog, ParseLogError> {
-    if pool.is_sequential() {
-        let _span = telemetry.span("parse_shards");
-        return RecoveryLog::from_text(text);
-    }
-    let symptoms = {
-        let _span = telemetry.span("catalog_prescan");
-        RecoveryLog::prescan_symptoms(text)
-    };
-    let lines: Vec<&str> = text.lines().collect();
-    let ranges = chunk_ranges(lines.len(), pool.threads());
-    let shards = {
-        let _span = telemetry.span("parse_shards");
-        pool.map_indexed_traced(ranges.len(), telemetry, "shard", |i| {
-            parse_shard(&lines[ranges[i].clone()], ranges[i].start, &symptoms)
-        })
-    };
-    let _span = telemetry.span("merge_entries");
-    let mut entries: Vec<LogEntry> = Vec::with_capacity(lines.len());
-    for shard in shards {
-        // Shards are contiguous ascending line ranges and each worker
-        // stops at its own first error, so the first failing shard in
-        // range order carries the globally first error.
-        entries.extend(shard?);
-    }
-    Ok(RecoveryLog::from_parts(entries, symptoms))
+    parse_log_with_policy(text, ParseErrorPolicy::Fail, pool, telemetry).map(|(log, _)| log)
 }
 
-/// Parses one contiguous range of lines against the prescanned catalog.
-/// `first_line` is the 0-based index of `lines[0]` in the full text.
-fn parse_shard(
-    lines: &[&str],
-    first_line: usize,
-    symptoms: &SymptomCatalog,
-) -> Result<Vec<LogEntry>, ParseLogError> {
-    let mut entries = Vec::with_capacity(lines.len());
-    for (i, line) in lines.iter().enumerate() {
-        let line = line.trim_end_matches('\r');
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let entry = LogEntry::parse_line_interned(line, symptoms)
-            .map_err(|e| e.at_line(first_line + i + 1))?;
-        entries.push(entry);
-    }
-    Ok(entries)
-}
-
-/// [`parse_log`] with a [`ParseErrorPolicy`]: strict ([`ParseErrorPolicy::Fail`])
-/// behaves exactly like [`parse_log`] — same code path, same first
-/// error, byte-identical log — and returns an empty report. The lenient
-/// policies never fail on malformed lines; they skip them and describe
-/// what was skipped in the returned [`QuarantineReport`].
+/// [`parse_log`] with a [`ParseErrorPolicy`]. Strict
+/// ([`ParseErrorPolicy::Fail`]) stops at the lowest failing line and
+/// returns an empty report. The lenient policies never fail on malformed
+/// lines; they skip them and describe what was skipped in the returned
+/// [`QuarantineReport`]. A skipped line interns nothing, so a lenient
+/// parse equals a strict parse of the text with the bad lines deleted.
 ///
 /// # Errors
 ///
 /// Under [`ParseErrorPolicy::Fail`] only: the first [`ParseLogError`]
-/// of the text, exactly as [`parse_log`].
+/// of the text, exactly as [`RecoveryLog::from_text`].
 pub fn parse_log_with_policy(
     text: &str,
     policy: ParseErrorPolicy,
     pool: &WorkerPool,
     telemetry: &Telemetry,
 ) -> Result<(RecoveryLog, QuarantineReport), ParseLogError> {
-    if policy == ParseErrorPolicy::Fail {
-        return parse_log(text, pool, telemetry).map(|log| (log, QuarantineReport::default()));
-    }
     let retain = policy == ParseErrorPolicy::Quarantine;
-    // Lenient parsing always prescans and shards — even sequentially —
-    // so line survival is decided identically for every thread count.
-    // (The prescan interns symptom descriptions by the third tab field
-    // alone, so a line whose timestamp or machine id is corrupt can
-    // still contribute its symptom to the catalog; that choice is the
-    // same for every pool size, which is what determinism requires.)
-    let symptoms = {
-        let _span = telemetry.span("catalog_prescan");
-        RecoveryLog::prescan_symptoms(text)
-    };
     let lines: Vec<&str> = text.lines().collect();
-    let ranges = chunk_ranges(lines.len(), pool.threads());
+    let ranges = chunk_ranges(lines.len(), INGEST_SHARDS);
     let shards = {
         let _span = telemetry.span("parse_shards");
         pool.map_indexed_traced(ranges.len(), telemetry, "shard", |i| {
-            parse_shard_lenient(
-                &lines[ranges[i].clone()],
-                ranges[i].start,
-                &symptoms,
-                retain,
-            )
+            let range = ranges[i].clone();
+            let mut symptoms = SymptomCatalog::new();
+            let mut report = QuarantineReport::default();
+            let numbered = (range.start + 1..).zip(lines[range].iter().copied());
+            let entries = read_entries(numbered, &mut symptoms, |line, raw, error| {
+                if policy == ParseErrorPolicy::Fail {
+                    return Err(error.at_line(line));
+                }
+                report.record(line, &error, raw, retain);
+                Ok(())
+            })?;
+            Ok((entries, symptoms, report))
         })
     };
     let _span = telemetry.span("merge_entries");
+    let mut symptoms = SymptomCatalog::new();
     let mut entries: Vec<LogEntry> = Vec::with_capacity(lines.len());
     let mut reports = Vec::with_capacity(shards.len());
-    for (shard_entries, shard_report) in shards {
-        entries.extend(shard_entries);
-        reports.push(shard_report);
+    for shard in shards {
+        // Shards are contiguous ascending line ranges and each stops at
+        // its own first error, so the first failing shard in range order
+        // carries the globally first error. Interning each shard's names
+        // in shard order assigns global ids in whole-text first-appearance
+        // order, exactly as the sequential parser does.
+        let (shard_entries, shard_symptoms, report) = shard?;
+        let ids: Vec<SymptomId> = shard_symptoms
+            .iter()
+            .map(|(_, name)| symptoms.intern(name))
+            .collect();
+        entries.extend(shard_entries.into_iter().map(|mut entry| {
+            if let LogEvent::Symptom(id) = entry.event {
+                entry.event = LogEvent::Symptom(ids[id.index() as usize]);
+            }
+            entry
+        }));
+        reports.push(report);
     }
     let report = QuarantineReport::merge(reports, retain);
     report.observe(telemetry);
     Ok((RecoveryLog::from_parts(entries, symptoms), report))
 }
 
-/// Parses one contiguous line range leniently: malformed lines are
-/// recorded in the shard-local report instead of failing the shard.
-/// Shard-local retained lines are already capped at
-/// [`QUARANTINE_CAPACITY`]; since shards are ascending contiguous
-/// ranges, merging in shard order and re-capping yields the globally
-/// first lines.
-fn parse_shard_lenient(
-    lines: &[&str],
-    first_line: usize,
-    symptoms: &SymptomCatalog,
-    retain: bool,
-) -> (Vec<LogEntry>, QuarantineReport) {
-    let mut entries = Vec::with_capacity(lines.len());
-    let mut report = QuarantineReport::default();
-    for (i, line) in lines.iter().enumerate() {
-        let line = line.trim_end_matches('\r');
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        match LogEntry::parse_line_interned(line, symptoms) {
-            Ok(entry) => entries.push(entry),
-            Err(error) => report.record(first_line + i + 1, &error, line, retain),
-        }
-    }
-    (entries, report)
-}
-
-/// How many machine-partition shards [`split_processes`] fans out,
-/// regardless of pool width. A fixed count (rather than
-/// `pool.threads()`) keeps the fan-out — and therefore the trace tree
-/// it records — structurally identical for every thread count: 8 shard
-/// spans whether one thread runs them all or eight threads run one
-/// each. Partitioning by `machine % SPLIT_SHARDS` is order-preserving
-/// per machine and the merge re-sorts globally, so the extracted
-/// processes were already partition-invariant; pinning the count makes
-/// the *observation* of the work invariant too.
-pub const SPLIT_SHARDS: usize = 8;
+/// How many contiguous line ranges [`parse_log_with_policy`] and how many
+/// machine partitions [`split_processes`] fan out, regardless of pool
+/// width. A fixed count (rather than `pool.threads()`) keeps the fan-out
+/// — and therefore the trace tree it records — structurally identical
+/// for every thread count: 8 shard spans per phase whether one thread
+/// runs them all or eight threads run one each. Both merges restore the
+/// sequential order, so the output never depended on the shard count;
+/// pinning it makes the *observation* of the work invariant too.
+pub const INGEST_SHARDS: usize = 8;
 
 /// Splits the log into complete recovery processes, sharding the
-/// per-machine extraction into [`SPLIT_SHARDS`] partitions over `pool`.
+/// per-machine extraction into [`INGEST_SHARDS`] partitions over `pool`.
 /// Equivalent to [`RecoveryLog::split_processes`] for every thread
-/// count — and, like lenient parsing, it always shards (even on a
-/// sequential pool) so the recorded trace tree is thread-count-invariant.
+/// count.
 pub fn split_processes(
     log: &mut RecoveryLog,
     pool: &WorkerPool,
@@ -403,63 +341,14 @@ pub fn split_processes(
     let entries = log.entries();
     let extracted = {
         let _span = telemetry.span("split_shards");
-        pool.map_indexed_traced(SPLIT_SHARDS, telemetry, "shard", |s| {
-            extract_processes(entries, |m| m.index() as usize % SPLIT_SHARDS == s)
+        pool.map_indexed_traced(INGEST_SHARDS, telemetry, "shard", |s| {
+            extract_processes(entries, |m| m.index() as usize % INGEST_SHARDS == s)
         })
     };
     let _span = telemetry.span("merge_processes");
     let mut processes: Vec<RecoveryProcess> = extracted.into_iter().flatten().collect();
     processes.sort_by_key(|p| (p.start(), p.machine()));
     processes
-}
-
-/// Parses a textual log and splits it into processes in one sharded
-/// pipeline: the common ingestion entry point of the CLI and benches.
-///
-/// # Errors
-///
-/// Returns the first [`ParseLogError`] of the text, as [`parse_log`].
-pub fn ingest(
-    text: &str,
-    pool: &WorkerPool,
-    telemetry: &Telemetry,
-) -> Result<(RecoveryLog, Vec<RecoveryProcess>), ParseLogError> {
-    let mut log = parse_log(text, pool, telemetry)?;
-    let processes = split_processes(&mut log, pool, telemetry);
-    Ok((log, processes))
-}
-
-/// Result of a policy-aware [`ingest_with_policy`] run.
-#[derive(Debug, Clone)]
-pub struct IngestOutcome {
-    /// The parsed log (malformed lines removed under lenient policies).
-    pub log: RecoveryLog,
-    /// Complete recovery processes extracted from the log.
-    pub processes: Vec<RecoveryProcess>,
-    /// What was skipped (empty under [`ParseErrorPolicy::Fail`]).
-    pub quarantine: QuarantineReport,
-}
-
-/// [`ingest`] with a [`ParseErrorPolicy`]: parse under the policy, then
-/// split into processes.
-///
-/// # Errors
-///
-/// Under [`ParseErrorPolicy::Fail`] only: the first [`ParseLogError`]
-/// of the text.
-pub fn ingest_with_policy(
-    text: &str,
-    policy: ParseErrorPolicy,
-    pool: &WorkerPool,
-    telemetry: &Telemetry,
-) -> Result<IngestOutcome, ParseLogError> {
-    let (mut log, quarantine) = parse_log_with_policy(text, policy, pool, telemetry)?;
-    let processes = split_processes(&mut log, pool, telemetry);
-    Ok(IngestOutcome {
-        log,
-        processes,
-        quarantine,
-    })
 }
 
 #[cfg(test)]
@@ -491,7 +380,8 @@ mod tests {
         let expected = RecoveryLog::from_text(&text).unwrap().split_processes();
         for threads in [1, 2, 3, 8] {
             let pool = WorkerPool::new(threads);
-            let (_, processes) = ingest(&text, &pool, &Telemetry::disabled()).unwrap();
+            let mut log = parse_log(&text, &pool, &Telemetry::disabled()).unwrap();
+            let processes = split_processes(&mut log, &pool, &Telemetry::disabled());
             assert_eq!(processes, expected, "{threads} threads");
         }
     }
@@ -633,14 +523,14 @@ mod tests {
         corrupted[3] = "2006-01-01 00:00:00\tM0007".into();
         let corrupted = corrupted.join("\n");
         let telemetry = Telemetry::new();
-        let outcome = ingest_with_policy(
+        let (_, report) = parse_log_with_policy(
             &corrupted,
             ParseErrorPolicy::Quarantine,
             &WorkerPool::new(2),
             &telemetry,
         )
         .unwrap();
-        assert_eq!(outcome.quarantine.skipped(), 1);
+        assert_eq!(report.skipped(), 1);
         let snap = telemetry.snapshot().unwrap();
         assert_eq!(snap.counters["ingest.lines_skipped"], 1);
         assert_eq!(snap.counters["ingest.parse_error.entry"], 1);
@@ -651,7 +541,8 @@ mod tests {
     fn empty_and_comment_only_logs_ingest_cleanly() {
         for text in ["", "# only a comment\n\n"] {
             let pool = WorkerPool::new(4);
-            let (log, processes) = ingest(text, &pool, &Telemetry::disabled()).unwrap();
+            let mut log = parse_log(text, &pool, &Telemetry::disabled()).unwrap();
+            let processes = split_processes(&mut log, &pool, &Telemetry::disabled());
             assert!(log.is_empty());
             assert!(processes.is_empty());
         }

@@ -6,7 +6,10 @@ use std::fmt;
 /// An error produced while parsing the textual recovery-log format.
 ///
 /// Carries the offending fragment and, where known, the line number of the
-/// entry being parsed.
+/// entry being parsed. Every log reader — [`crate::RecoveryLog::from_text`],
+/// sharded ingestion and the durable journal replay — goes through
+/// [`crate::read_entries`], so one line yields the same error wherever it
+/// is read; strict readers stop at it, lenient ones count and skip it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseLogError {
     kind: ParseLogErrorKind,
@@ -29,7 +32,7 @@ pub enum ParseLogErrorKind {
     /// The line did not have the three tab-separated fields of Table 1.
     Entry,
     /// The description was not a valid symptom (no `category:component`
-    /// colon, or missing from a prescanned read-only catalog).
+    /// colon).
     Symptom,
 }
 

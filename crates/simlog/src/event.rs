@@ -97,42 +97,6 @@ impl LogEntry {
         })
     }
 
-    /// [`LogEntry::parse_line`] against a *read-only* catalog: symptom
-    /// descriptions are resolved with [`SymptomCatalog::id`] instead of
-    /// interned. This is the shard-worker form of parsing — the catalog is
-    /// built in a sequential prescan (see
-    /// [`crate::RecoveryLog::prescan_symptoms`]) so workers can share it
-    /// immutably and `SymptomId`s stay identical for any shard count.
-    ///
-    /// # Errors
-    ///
-    /// Everything [`LogEntry::parse_line`] rejects, plus symptom
-    /// descriptions missing from `symptoms` (which means the catalog was
-    /// not prescanned from the same text).
-    pub fn parse_line_interned(
-        line: &str,
-        symptoms: &SymptomCatalog,
-    ) -> Result<Self, ParseLogError> {
-        let (time, machine, description) = Self::parse_fields(line)?;
-        let event = if description == "Success" {
-            LogEvent::Success
-        } else if let Ok(action) = description.parse::<RepairAction>() {
-            LogEvent::Action(action)
-        } else if description.contains(':') {
-            match symptoms.id(description) {
-                Some(id) => LogEvent::Symptom(id),
-                None => return Err(ParseLogError::symptom(description)),
-            }
-        } else {
-            return Err(ParseLogError::symptom(description));
-        };
-        Ok(LogEntry {
-            time,
-            machine,
-            event,
-        })
-    }
-
     /// Splits one log line into its `(time, machine, description)` fields.
     fn parse_fields(line: &str) -> Result<(SimTime, MachineId, &str), ParseLogError> {
         let mut fields = line.splitn(3, '\t');
@@ -210,26 +174,6 @@ mod tests {
             }
             other => panic!("expected symptom, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn interned_parse_matches_mutable_parse() {
-        let mut catalog = SymptomCatalog::new();
-        let id = catalog.intern("errorHardware:EventLog");
-        for event in [
-            LogEvent::Symptom(id),
-            LogEvent::Action(RepairAction::Reimage),
-            LogEvent::Success,
-        ] {
-            let line = entry(event).format_line(&catalog);
-            let mutable = LogEntry::parse_line(&line, &mut catalog.clone()).unwrap();
-            let interned = LogEntry::parse_line_interned(&line, &catalog).unwrap();
-            assert_eq!(mutable, interned);
-        }
-        // A symptom missing from the read-only catalog is an error, not an
-        // implicit intern.
-        let line = "2006-01-01 03:07:12\tM0423\terror:NotPrescanned";
-        assert!(LogEntry::parse_line_interned(line, &catalog).is_err());
     }
 
     #[test]

@@ -65,7 +65,7 @@ pub use error::{ParseLogError, ParseLogErrorKind};
 pub use event::{LogEntry, LogEvent};
 pub use fault::{FaultId, FaultSpec};
 pub use generator::{GeneratedLog, GeneratorConfig, LogGenerator};
-pub use log::{extract_processes, LogAudit, RecoveryLog};
+pub use log::{extract_processes, read_entries, LogAudit, RecoveryLog};
 pub use machine::MachineId;
 pub use policy::{PolicyContext, RecoveryPolicy, UserDefinedPolicy};
 pub use process::{ActionRecord, RecoveryProcess};

@@ -4,7 +4,6 @@
 
 use std::collections::BTreeMap;
 
-use crate::action::RepairAction;
 use crate::error::ParseLogError;
 use crate::event::{LogEntry, LogEvent};
 use crate::machine::MachineId;
@@ -144,46 +143,11 @@ impl RecoveryLog {
     /// Returns the first [`ParseLogError`], annotated with its 1-based line
     /// number. Blank lines and lines starting with `#` are skipped.
     pub fn from_text(text: &str) -> Result<Self, ParseLogError> {
-        let mut log = RecoveryLog::new();
-        for (i, line) in text.lines().enumerate() {
-            let line = line.trim_end_matches('\r');
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            let entry =
-                LogEntry::parse_line(line, &mut log.symptoms).map_err(|e| e.at_line(i + 1))?;
-            log.push(entry);
-        }
-        Ok(log)
-    }
-
-    /// Builds the symptom catalog of a textual log in one sequential pass,
-    /// without validating the time/machine fields. Descriptions are
-    /// interned in first-appearance line order — exactly the ids
-    /// [`RecoveryLog::from_text`] assigns — so shard workers parsing
-    /// disjoint line ranges against this catalog (with
-    /// [`LogEntry::parse_line_interned`]) reproduce the single-threaded
-    /// `SymptomId`s for any shard count.
-    pub fn prescan_symptoms(text: &str) -> SymptomCatalog {
         let mut symptoms = SymptomCatalog::new();
-        for line in text.lines() {
-            let line = line.trim_end_matches('\r');
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            let Some(description) = line.splitn(3, '\t').nth(2) else {
-                continue;
-            };
-            // The same classification order as `LogEntry::parse_line`:
-            // only descriptions that would parse as symptoms are interned.
-            if description != "Success"
-                && description.parse::<RepairAction>().is_err()
-                && description.contains(':')
-            {
-                symptoms.intern(description);
-            }
-        }
-        symptoms
+        let entries = read_entries((1..).zip(text.lines()), &mut symptoms, |line, _, error| {
+            Err(error.at_line(line))
+        })?;
+        Ok(RecoveryLog::from_parts(entries, symptoms))
     }
 
     /// Audits the log: how many complete processes it contains, and what
@@ -234,6 +198,39 @@ impl RecoveryLog {
         processes.sort_by_key(|p| (p.start(), p.machine()));
         processes
     }
+}
+
+/// The one reader of the textual log format: frames numbered lines
+/// (trailing `\r` trimmed; blank and `#` lines skipped), parses each
+/// remaining line with [`LogEntry::parse_line`], and interns new symptom
+/// descriptions into `symptoms` in line order.
+///
+/// `lines` pairs each raw line with its 1-based number. A line that does
+/// not parse goes to `on_bad_line` with its number and trimmed text:
+/// returning `Err` stops the read with that error, returning `Ok(())`
+/// skips the line. A skipped line interns nothing.
+///
+/// # Errors
+///
+/// The first error `on_bad_line` returns.
+pub fn read_entries<'a, E>(
+    lines: impl IntoIterator<Item = (usize, &'a str)>,
+    symptoms: &mut SymptomCatalog,
+    mut on_bad_line: impl FnMut(usize, &'a str, ParseLogError) -> Result<(), E>,
+) -> Result<Vec<LogEntry>, E> {
+    let lines = lines.into_iter();
+    let mut entries = Vec::with_capacity(lines.size_hint().0);
+    for (number, line) in lines {
+        let line = line.trim_end_matches('\r');
+        if line.is_empty() || line.starts_with('#') {
+            continue;
+        }
+        match LogEntry::parse_line(line, symptoms) {
+            Ok(entry) => entries.push(entry),
+            Err(error) => on_bad_line(number, line, error)?,
+        }
+    }
+    Ok(entries)
 }
 
 /// Runs the per-machine process state machine over chronologically sorted
@@ -439,13 +436,39 @@ mod tests {
     }
 
     #[test]
-    fn prescan_matches_from_text_catalog() {
-        let mut log = two_machine_log();
-        let text = log.to_text();
-        let parsed = RecoveryLog::from_text(&text).unwrap();
-        assert_eq!(RecoveryLog::prescan_symptoms(&text), *parsed.symptoms());
-        // Comment/blank lines and action/Success descriptions never intern.
-        assert!(RecoveryLog::prescan_symptoms("# error:A\n\nx\ty\tSuccess\n").is_empty());
+    fn read_entries_skips_bad_lines_without_interning() {
+        let text = "# header\r\n\
+                    2006-01-01 00:00:00\tM0001\terror:A\r\n\
+                    \n\
+                    BADTIME\tM0001\terror:Phantom\n\
+                    2006-01-01 00:05:00\tM0002\terror:B\n";
+        let mut symptoms = SymptomCatalog::new();
+        let mut skipped = Vec::new();
+        let entries = read_entries((1..).zip(text.lines()), &mut symptoms, |line, text, e| {
+            skipped.push((line, text.to_owned(), e.kind()));
+            Ok::<(), ParseLogError>(())
+        })
+        .unwrap();
+        assert_eq!(entries.len(), 2);
+        assert_eq!(
+            skipped,
+            [(
+                4,
+                "BADTIME\tM0001\terror:Phantom".to_owned(),
+                crate::error::ParseLogErrorKind::Timestamp
+            )]
+        );
+        // The skipped line's symptom never reaches the catalog.
+        let names: Vec<&str> = symptoms.iter().map(|(_, name)| name).collect();
+        assert_eq!(names, ["error:A", "error:B"]);
+        // Stopping reports the first bad line, numbered from the caller's offset.
+        let err = read_entries(
+            (10..).zip(text.lines()),
+            &mut SymptomCatalog::new(),
+            |line, _, e| Err(e.at_line(line)),
+        )
+        .unwrap_err();
+        assert_eq!(err.line(), Some(13));
     }
 
     #[test]

@@ -17,9 +17,9 @@ use crate::error::ParseLogError;
 /// Calendar year of the log epoch used when rendering [`SimTime`].
 pub const EPOCH_YEAR: i64 = 2006;
 
-/// Days from 0000-03-01 to the log epoch (2006-01-01), used internally by
+/// Days from 1970-01-01 to the log epoch (2006-01-01), used internally by
 /// the civil-date conversion.
-const EPOCH_DAYS: i64 = days_from_civil(EPOCH_YEAR, 1, 1);
+const EPOCH_DAYS: i128 = days_from_civil(EPOCH_YEAR, 1, 1);
 
 /// An absolute instant on the simulation clock, in whole seconds since the
 /// log epoch (2006-01-01 00:00:00).
@@ -81,7 +81,7 @@ impl SimTime {
     /// Decomposes this instant into calendar fields
     /// `(year, month, day, hour, minute, second)`.
     pub fn to_calendar(self) -> (i64, u32, u32, u32, u32, u32) {
-        let days = (self.0 / 86_400) as i64 + EPOCH_DAYS;
+        let days = (self.0 / 86_400) as i64 + EPOCH_DAYS as i64;
         let rem = self.0 % 86_400;
         let (y, m, d) = civil_from_days(days);
         (
@@ -97,7 +97,7 @@ impl SimTime {
     /// Builds an instant from calendar fields.
     ///
     /// Returns `None` if the fields do not name a valid date-time at or
-    /// after the epoch.
+    /// after the epoch that fits the `u64` seconds clock.
     pub fn from_calendar(
         year: i64,
         month: u32,
@@ -115,16 +115,9 @@ impl SimTime {
         {
             return None;
         }
-        let days = days_from_civil(year, month, day) - EPOCH_DAYS;
-        if days < 0 {
-            return None;
-        }
-        Some(SimTime(
-            days as u64 * 86_400
-                + u64::from(hour) * 3600
-                + u64::from(minute) * 60
-                + u64::from(second),
-        ))
+        let days = u64::try_from(days_from_civil(year, month, day) - EPOCH_DAYS).ok()?;
+        let clock = u64::from(hour) * 3600 + u64::from(minute) * 60 + u64::from(second);
+        days.checked_mul(86_400)?.checked_add(clock).map(SimTime)
     }
 }
 
@@ -239,31 +232,36 @@ impl FromStr for SimTime {
         let (date, clock) = s.split_once(' ').ok_or_else(bad)?;
         let mut dit = date.splitn(3, '-');
         let mut cit = clock.splitn(3, ':');
-        let next_num = |it: &mut dyn Iterator<Item = &str>| -> Result<i64, ParseLogError> {
-            it.next().ok_or_else(bad)?.parse::<i64>().map_err(|_| bad())
+        let year = dit
+            .next()
+            .ok_or_else(bad)?
+            .parse::<i64>()
+            .map_err(|_| bad())?;
+        let next_field = |it: &mut dyn Iterator<Item = &str>| -> Result<u32, ParseLogError> {
+            it.next().ok_or_else(bad)?.parse::<u32>().map_err(|_| bad())
         };
-        let year = next_num(&mut dit)?;
-        let month = next_num(&mut dit)? as u32;
-        let day = next_num(&mut dit)? as u32;
-        let hour = next_num(&mut cit)? as u32;
-        let minute = next_num(&mut cit)? as u32;
-        let second = next_num(&mut cit)? as u32;
+        let month = next_field(&mut dit)?;
+        let day = next_field(&mut dit)?;
+        let hour = next_field(&mut cit)?;
+        let minute = next_field(&mut cit)?;
+        let second = next_field(&mut cit)?;
         SimTime::from_calendar(year, month, day, hour, minute, second).ok_or_else(bad)
     }
 }
 
-/// Days since 0000-03-01 for a civil date (Howard Hinnant's algorithm).
-const fn days_from_civil(y: i64, m: u32, d: u32) -> i64 {
-    let y = if m <= 2 { y - 1 } else { y };
+/// Days since 1970-01-01 for a civil date (Howard Hinnant's algorithm).
+/// Computed in `i128`, where no `i64` year can overflow it.
+const fn days_from_civil(y: i64, m: u32, d: u32) -> i128 {
+    let y = y as i128 - if m <= 2 { 1 } else { 0 };
     let era = if y >= 0 { y } else { y - 399 } / 400;
     let yoe = y - era * 400;
-    let mp = (m as i64 + 9) % 12;
-    let doy = (153 * mp + 2) / 5 + d as i64 - 1;
+    let mp = (m as i128 + 9) % 12;
+    let doy = (153 * mp + 2) / 5 + d as i128 - 1;
     let doe = yoe * 365 + yoe / 4 - yoe / 100 + doy;
     era * 146_097 + doe - 719_468
 }
 
-/// Civil date for days since 0000-03-01 (inverse of [`days_from_civil`]).
+/// Civil date for days since 1970-01-01 (inverse of [`days_from_civil`]).
 fn civil_from_days(z: i64) -> (i64, u32, u32) {
     let z = z + 719_468;
     let era = if z >= 0 { z } else { z - 146_096 } / 146_097;
@@ -349,6 +347,55 @@ mod tests {
             "2006-01-01 3:7",
         ] {
             assert!(s.parse::<SimTime>().is_err(), "{s:?} should not parse");
+        }
+    }
+
+    #[test]
+    fn rejects_out_of_range_fields_without_overflow() {
+        for s in [
+            "2006-4294967297-01 00:00:00",
+            "2006-01-01 4294967296:00:00",
+            "2006-01-4294967297 00:00:00",
+            "2006-01-01 00:4294967356:00",
+            "2006-01-01 00:00:4294967355",
+            "2006--1-01 00:00:00",
+            "999999999999-01-01 00:00:00",
+            "584554051260-01-01 00:00:00",
+            "9223372036854775807-12-31 23:59:59",
+        ] {
+            let err = s.parse::<SimTime>().expect_err(s);
+            assert_eq!(
+                err.kind(),
+                crate::error::ParseLogErrorKind::Timestamp,
+                "{s}"
+            );
+        }
+        assert!(SimTime::from_calendar(i64::MIN, 1, 1, 0, 0, 0).is_none());
+        assert!(SimTime::from_calendar(i64::MAX, 12, 31, 23, 59, 59).is_none());
+    }
+
+    #[test]
+    fn accepted_timestamps_round_trip_through_display() {
+        let mut accepted = vec![SimTime::EPOCH, SimTime::from_secs(u64::MAX)];
+        let mut x = 0x2007_D50A_u64;
+        for _ in 0..2_000 {
+            // SplitMix64 steps: instants spread over the whole u64 clock.
+            x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = x;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            accepted.push(SimTime::from_secs(z ^ (z >> 31)));
+        }
+        for t in accepted {
+            let rendered = t.to_string();
+            assert_eq!(rendered.parse::<SimTime>(), Ok(t), "{rendered}");
+        }
+        // Non-canonical spellings that do parse still name the instant
+        // their canonical rendering names.
+        for s in ["2006-1-2 3:4:5", "2006-01-02 +3:04:05"] {
+            let t: SimTime = s.parse().unwrap();
+            assert_eq!(t.to_string(), "2006-01-02 03:04:05");
+            assert_eq!(t.to_string().parse::<SimTime>(), Ok(t));
         }
     }
 

@@ -69,7 +69,9 @@ pub use prometheus::{render_prometheus, render_prometheus_namespaced, NAMESPACE}
 pub use serve::{HttpRequest, HttpServer, Routes};
 pub use trace::{TraceContext, TraceNode, TraceTree, TRACE_RING_CAPACITY};
 
+use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
+use std::thread::{self, ThreadId};
 use std::time::Instant;
 
 /// How often the attached [`MetricsObserver`] emits a per-sweep JSONL
@@ -386,8 +388,10 @@ pub struct MetricsObserver {
     cost_cache_misses: Counter,
     replays: Counter,
     replays_handled: Counter,
-    /// Name of the error type currently being trained (cold-path only).
-    scope: Mutex<String>,
+    /// Name of the error type each worker thread is training (cold-path
+    /// only). Keyed by thread so concurrent types never relabel each
+    /// other's sweep events.
+    scope: Mutex<HashMap<ThreadId, String>>,
 }
 
 impl MetricsObserver {
@@ -411,7 +415,7 @@ impl MetricsObserver {
             cost_cache_misses: counter("platform.cost_cache.miss"),
             replays: counter("platform.replays"),
             replays_handled: counter("platform.replays_handled"),
-            scope: Mutex::new(String::new()),
+            scope: Mutex::new(HashMap::new()),
             telemetry,
         }
     }
@@ -424,8 +428,7 @@ impl MetricsObserver {
 impl TrainingObserver for MetricsObserver {
     fn training_started(&self, error_type: &str, processes: usize) {
         if let Ok(mut scope) = self.scope.lock() {
-            scope.clear();
-            scope.push_str(error_type);
+            scope.insert(thread::current().id(), error_type.to_owned());
         }
         if let Some(registry) = self.registry() {
             registry.counter("train.types_started").inc();
@@ -457,7 +460,12 @@ impl TrainingObserver for MetricsObserver {
     fn sweep_complete(&self, sweep: u64) {
         self.sweeps.inc();
         if sweep.is_multiple_of(SWEEP_EVENT_SAMPLE) {
-            let scope = self.scope.lock().map(|s| s.clone()).unwrap_or_default();
+            let scope = self
+                .scope
+                .lock()
+                .ok()
+                .and_then(|s| s.get(&thread::current().id()).cloned())
+                .unwrap_or_default();
             self.telemetry.emit(
                 &Event::new("sweep")
                     .with("error_type", scope)
@@ -482,6 +490,9 @@ impl TrainingObserver for MetricsObserver {
     }
 
     fn training_finished(&self, error_type: &str, sweeps: u64, converged: bool) {
+        if let Ok(mut scope) = self.scope.lock() {
+            scope.remove(&thread::current().id());
+        }
         if let Some(registry) = self.registry() {
             registry
                 .counter(&format!("train.sweeps.{error_type}"))
@@ -594,6 +605,46 @@ mod tests {
         assert_eq!(snap.counters["platform.cured"], 1);
         assert_eq!(snap.counters["platform.failed"], 1);
         assert_eq!(snap.gauges["train.temperature"], 60_000.0);
+    }
+
+    #[test]
+    fn sweep_events_name_the_type_trained_on_their_thread() {
+        let bus = EventBus::default();
+        let sub = bus.subscribe();
+        let t = Telemetry::with_parts(None, Some(bus));
+        let obs = t.observer();
+        let both_started = std::sync::Barrier::new(2);
+        let a_started = std::sync::Barrier::new(2);
+        // Type A starts, then type B starts on another thread, then both
+        // emit a sampled sweep: each event must still name its own type.
+        thread::scope(|s| {
+            s.spawn(|| {
+                obs.training_started("type-a", 1);
+                a_started.wait();
+                both_started.wait();
+                obs.sweep_complete(0);
+            });
+            s.spawn(|| {
+                a_started.wait();
+                obs.training_started("type-b", 1);
+                both_started.wait();
+                obs.sweep_complete(SWEEP_EVENT_SAMPLE);
+            });
+        });
+        let sweeps: Vec<String> = sub
+            .drain()
+            .into_iter()
+            .filter(|l| l.starts_with("{\"type\":\"sweep\""))
+            .collect();
+        assert_eq!(sweeps.len(), 2, "{sweeps:?}");
+        for line in sweeps {
+            let expected = if line.contains("\"sweep\":0,") {
+                "\"error_type\":\"type-a\""
+            } else {
+                "\"error_type\":\"type-b\""
+            };
+            assert!(line.contains(expected), "{line}");
+        }
     }
 
     #[test]

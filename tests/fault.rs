@@ -22,19 +22,21 @@
 use std::fs;
 use std::path::PathBuf;
 
+use recovery_core::experiment::ExperimentContext;
 use recovery_core::fault::{
     corrupt_lines, truncate_text, CorruptionMode, LoopFaultPlan, PanicInjector,
 };
-use recovery_core::ingest::{self, ParseErrorPolicy};
+use recovery_core::ingest::{self, ParseErrorPolicy, QuarantineReport};
 use recovery_core::parallel::{PoolError, WorkerPool, DEFAULT_RETRY_BUDGET};
+use recovery_core::persist::policy_to_text;
 use recovery_core::pipeline::{
     run_continuous_loop_controlled, ContinuousLoopConfig, FallbackReason, LoopControls,
     WindowOutcome, WindowStatus,
 };
-use recovery_core::trainer::TrainerConfig;
+use recovery_core::trainer::{OfflineTrainer, TrainerConfig};
 use recovery_simlog::{
-    CatalogConfig, ClusterConfig, FaultCatalog, GeneratorConfig, LogGenerator, ParseLogErrorKind,
-    RecoveryProcess, SimDuration, SymptomCatalog,
+    CatalogConfig, ClusterConfig, FaultCatalog, GeneratorConfig, LogGenerator, ParseLogError,
+    ParseLogErrorKind, RecoveryLog, RecoveryProcess, SimDuration, SymptomCatalog,
 };
 use recovery_telemetry::{ObserverHandle, Telemetry};
 
@@ -74,6 +76,29 @@ fn render(processes: &[RecoveryProcess], symptoms: &SymptomCatalog) -> String {
         }
     }
     out
+}
+
+/// A policy-aware parse plus the sharded split of its surviving lines.
+#[derive(Debug)]
+struct Ingested {
+    log: RecoveryLog,
+    processes: Vec<RecoveryProcess>,
+    quarantine: QuarantineReport,
+}
+
+fn ingest_with(
+    text: &str,
+    policy: ParseErrorPolicy,
+    pool: &WorkerPool,
+    telemetry: &Telemetry,
+) -> Result<Ingested, ParseLogError> {
+    let (mut log, quarantine) = ingest::parse_log_with_policy(text, policy, pool, telemetry)?;
+    let processes = ingest::split_processes(&mut log, pool, telemetry);
+    Ok(Ingested {
+        log,
+        processes,
+        quarantine,
+    })
 }
 
 /// A loop run without per-window observers, publication, or controls.
@@ -118,13 +143,8 @@ fn strict_policy_reproduces_the_golden_fixture_bytes() {
     let expected = fs::read_to_string(fixture("golden.processes")).expect("committed snapshot");
     for threads in [1, 2, 4] {
         let pool = WorkerPool::new(threads);
-        let outcome = ingest::ingest_with_policy(
-            &text,
-            ParseErrorPolicy::Fail,
-            &pool,
-            &Telemetry::disabled(),
-        )
-        .expect("golden log parses strictly");
+        let outcome = ingest_with(&text, ParseErrorPolicy::Fail, &pool, &Telemetry::disabled())
+            .expect("golden log parses strictly");
         assert!(outcome.quarantine.is_clean());
         assert_eq!(
             render(&outcome.processes, outcome.log.symptoms()),
@@ -150,7 +170,7 @@ fn corruption_modes_quarantine_with_the_right_kind() {
         let mut baseline: Option<String> = None;
         for threads in [1, 2, 4] {
             let pool = WorkerPool::new(threads);
-            let outcome = ingest::ingest_with_policy(
+            let outcome = ingest_with(
                 &corrupted.text,
                 ParseErrorPolicy::Quarantine,
                 &pool,
@@ -188,14 +208,14 @@ fn skip_and_quarantine_agree_on_survivors() {
     let text = sample_text();
     let corrupted = corrupt_lines(&text, 7, 5, CorruptionMode::Machine);
     let pool = WorkerPool::new(2);
-    let skip = ingest::ingest_with_policy(
+    let skip = ingest_with(
         &corrupted.text,
         ParseErrorPolicy::Skip,
         &pool,
         &Telemetry::disabled(),
     )
     .unwrap();
-    let quarantine = ingest::ingest_with_policy(
+    let quarantine = ingest_with(
         &corrupted.text,
         ParseErrorPolicy::Quarantine,
         &pool,
@@ -209,6 +229,49 @@ fn skip_and_quarantine_agree_on_survivors() {
     assert_eq!(quarantine.quarantine.lines().len(), 5);
 }
 
+/// Skipping a bad line is the same as deleting it: the skipped line
+/// interns nothing, so a symptom seen only on a corrupt line cannot shift
+/// the `SymptomId`s — and with them the per-type training seeds — of the
+/// symptoms that first appear after it.
+#[test]
+fn skipping_a_corrupt_line_equals_deleting_it() {
+    let text = sample_text();
+    let mut lines: Vec<&str> = text.lines().collect();
+    let clean = lines.join("\n");
+    // Ahead of every symptom but the first line's.
+    lines.insert(1, "BADTIME\tM0001\terror:phantom-only");
+    let dirty = lines.join("\n");
+    let train = |log: &mut RecoveryLog| {
+        let ctx = ExperimentContext::prepare(log.split_processes(), 0.1, 4);
+        let mut config = TrainerConfig::fast().with_seed(0x5_EED);
+        config.learning.max_episodes = 300;
+        let (policy, _) = OfflineTrainer::new(&ctx.clean, config).train(&ctx.types);
+        policy_to_text(&policy, log.symptoms())
+    };
+    for threads in [1, 4] {
+        let pool = WorkerPool::new(threads);
+        let (mut skipped, report) = ingest::parse_log_with_policy(
+            &dirty,
+            ParseErrorPolicy::Skip,
+            &pool,
+            &Telemetry::disabled(),
+        )
+        .expect("lenient parsing never fails on bad lines");
+        assert_eq!(report.count(ParseLogErrorKind::Timestamp), 1);
+        let mut deleted =
+            ingest::parse_log(&clean, &pool, &Telemetry::disabled()).expect("clean log parses");
+        assert_eq!(
+            skipped, deleted,
+            "{threads} threads: entries or catalog differ"
+        );
+        assert_eq!(
+            train(&mut skipped),
+            train(&mut deleted),
+            "{threads} threads: policies differ"
+        );
+    }
+}
+
 /// A torn (truncated mid-line) log fails strict parsing but survives
 /// quarantine mode, losing exactly the torn line.
 #[test]
@@ -217,7 +280,7 @@ fn truncated_input_survives_quarantine_mode() {
     let torn = truncate_text(&text, 0x7047);
     assert_eq!(torn.lines.len(), 1);
     let pool = WorkerPool::new(2);
-    let strict = ingest::ingest_with_policy(
+    let strict = ingest_with(
         &torn.text,
         ParseErrorPolicy::Fail,
         &pool,
@@ -227,7 +290,7 @@ fn truncated_input_survives_quarantine_mode() {
     assert_eq!(err.kind(), ParseLogErrorKind::Timestamp);
     assert_eq!(err.line(), Some(torn.lines[0]));
 
-    let lenient = ingest::ingest_with_policy(
+    let lenient = ingest_with(
         &torn.text,
         ParseErrorPolicy::Quarantine,
         &pool,
@@ -383,7 +446,7 @@ fn degraded_operation_is_observable_and_deterministic() {
         let sink = recovery_telemetry::JsonlSink::to_file(&dump).unwrap();
         let telemetry = Telemetry::with_sink(sink);
         let pool = WorkerPool::new(threads);
-        let outcome = ingest::ingest_with_policy(
+        let outcome = ingest_with(
             &corrupted.text,
             ParseErrorPolicy::Quarantine,
             &pool,
@@ -469,7 +532,7 @@ fn fault_dump_is_thread_count_invariant() {
         CorruptionMode::Symptom,
     ] {
         let corrupted = corrupt_lines(&text, 0xC1, 4, mode);
-        let outcome = ingest::ingest_with_policy(
+        let outcome = ingest_with(
             &corrupted.text,
             ParseErrorPolicy::Quarantine,
             &pool,
@@ -488,7 +551,7 @@ fn fault_dump_is_thread_count_invariant() {
 
     // Scenario 2: torn input.
     let torn = truncate_text(&text, 0xC2);
-    let outcome = ingest::ingest_with_policy(
+    let outcome = ingest_with(
         &torn.text,
         ParseErrorPolicy::Quarantine,
         &pool,

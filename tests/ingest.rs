@@ -18,7 +18,7 @@ use recovery_core::parallel::WorkerPool;
 use recovery_simlog::{
     GeneratorConfig, LogGenerator, RecoveryLog, RecoveryProcess, SymptomCatalog,
 };
-use recovery_telemetry::Telemetry;
+use recovery_telemetry::{EventBus, Telemetry, TraceTree};
 
 fn fixture(name: &str) -> PathBuf {
     // CARGO_MANIFEST_DIR is crates/core; fixtures live at the workspace
@@ -54,6 +54,17 @@ fn render(processes: &[RecoveryProcess], symptoms: &SymptomCatalog) -> String {
     out
 }
 
+/// Sharded parse then sharded split: the ingestion half of `train`.
+fn sharded_ingest(
+    text: &str,
+    pool: &WorkerPool,
+    telemetry: &Telemetry,
+) -> (RecoveryLog, Vec<RecoveryProcess>) {
+    let mut log = ingest::parse_log(text, pool, telemetry).expect("sharded parse");
+    let processes = ingest::split_processes(&mut log, pool, telemetry);
+    (log, processes)
+}
+
 fn sequential_rendering(text: &str) -> String {
     let mut log = RecoveryLog::from_text(text).expect("log parses sequentially");
     let processes = log.split_processes();
@@ -73,8 +84,7 @@ fn ingestion_matrix_is_byte_identical() {
     let expected = sequential_rendering(&text);
     for threads in [1, 2, 4, 8] {
         let pool = WorkerPool::new(threads);
-        let (log, processes) =
-            ingest::ingest(&text, &pool, &Telemetry::disabled()).expect("sharded ingest");
+        let (log, processes) = sharded_ingest(&text, &pool, &Telemetry::disabled());
         assert_eq!(
             render(&processes, log.symptoms()),
             expected,
@@ -94,8 +104,7 @@ fn ingestion_matrix_holds_across_seeds() {
         let expected = sequential_rendering(&text);
         for threads in [2, 8] {
             let pool = WorkerPool::new(threads);
-            let (log, processes) =
-                ingest::ingest(&text, &pool, &Telemetry::disabled()).expect("sharded ingest");
+            let (log, processes) = sharded_ingest(&text, &pool, &Telemetry::disabled());
             assert_eq!(
                 render(&processes, log.symptoms()),
                 expected,
@@ -114,8 +123,7 @@ fn golden_log_processes_match_committed_snapshot() {
     let text = fs::read_to_string(fixture("golden.log")).expect("committed log fixture");
     // Two threads on purpose: the snapshot certifies the sharded path.
     let pool = WorkerPool::new(2);
-    let (log, processes) =
-        ingest::ingest(&text, &pool, &Telemetry::disabled()).expect("fixture log ingests");
+    let (log, processes) = sharded_ingest(&text, &pool, &Telemetry::disabled());
     let actual = render(&processes, log.symptoms());
     let snapshot_path = fixture("golden.processes");
 
@@ -167,10 +175,9 @@ fn ingestion_phases_report_telemetry_spans() {
         .to_text();
     let telemetry = Telemetry::new();
     let pool = WorkerPool::new(4);
-    let _ = ingest::ingest(&text, &pool, &telemetry).expect("sharded ingest");
+    let _ = sharded_ingest(&text, &pool, &telemetry);
     let snapshot = telemetry.snapshot().expect("enabled telemetry snapshots");
     for phase in [
-        "catalog_prescan",
         "parse_shards",
         "merge_entries",
         "split_shards",
@@ -189,4 +196,47 @@ fn ingestion_phases_report_telemetry_spans() {
             "missing span histogram for ingestion phase {phase:?}"
         );
     }
+}
+
+/// The parse records the same trace skeleton at every thread count: it
+/// always fans out over the fixed `INGEST_SHARDS` line ranges, even on
+/// one thread, so a `--threads 1` trace shows the same shard spans as a
+/// `--threads 4` one.
+#[test]
+fn parse_trace_skeleton_is_thread_count_invariant() {
+    let text = LogGenerator::new(GeneratorConfig::small())
+        .generate()
+        .log
+        .to_text();
+    let skeletons_at = |threads: usize| {
+        let telemetry = Telemetry::with_parts(None, Some(EventBus::default()));
+        ingest::parse_log(&text, &WorkerPool::new(threads), &telemetry).expect("log parses");
+        telemetry
+            .trace_trees()
+            .iter()
+            .map(TraceTree::skeleton)
+            .collect::<Vec<_>>()
+    };
+    let one = skeletons_at(1);
+    assert_eq!(
+        one,
+        skeletons_at(4),
+        "parse traces depend on the thread count"
+    );
+    let parse = one
+        .iter()
+        .find(|s| s.starts_with("#1 parse_shards"))
+        .expect("a parse_shards trace");
+    assert_eq!(
+        parse
+            .lines()
+            .filter(|l| l.starts_with("  ") && l.contains("shard"))
+            .count(),
+        ingest::INGEST_SHARDS,
+        "{parse}"
+    );
+    assert!(
+        one.iter().any(|s| s.starts_with("#1 merge_entries")),
+        "no merge_entries trace: {one:?}"
+    );
 }

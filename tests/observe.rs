@@ -461,7 +461,7 @@ fn trace_tree_skeletons_are_byte_identical_across_thread_counts() {
             .lines()
             .filter(|l| l.starts_with("  ") && l.contains("shard"))
             .count(),
-        recovery_core::ingest::SPLIT_SHARDS,
+        recovery_core::ingest::INGEST_SHARDS,
         "{split}"
     );
     let retrain = one
