@@ -1,7 +1,6 @@
 //! Benchmarks of the training pipelines: standard tabular Q-learning
-//! (improved and paper-faithful), the selection-tree accelerator, and the
-//! linear-approximation extension — the ablation data for the design
-//! choices called out in `DESIGN.md`.
+//! (improved and paper-faithful) and the selection-tree accelerator —
+//! the ablation data for the design choices called out in `DESIGN.md`.
 //!
 //! In sampling mode (`cargo bench --bench training -- --bench`) the
 //! dense-vs-hash *episode loop* is additionally measured and recorded
@@ -26,7 +25,6 @@ use std::time::Instant;
 use criterion::{criterion_group, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use recovery_core::approx::{train_linear, LinearConfig};
 use recovery_core::error_type::{ErrorType, ErrorTypeRanking};
 use recovery_core::evaluate::time_ordered_split;
 use recovery_core::experiment::ExperimentContext;
@@ -37,6 +35,7 @@ use recovery_simlog::{
     ActionRecord, GeneratorConfig, LogGenerator, MachineId, RecoveryProcess, RepairAction, SimTime,
     SymptomId,
 };
+use recovery_telemetry::NoopObserver;
 
 /// Counts heap allocations so the episode-loop arm can certify that the
 /// dense backend's steady state performs none per sweep.
@@ -137,15 +136,6 @@ fn bench_training(c: &mut Criterion) {
         b.iter(|| std::hint::black_box(tree.train_type(w.top_type).unwrap().stats.sweeps))
     });
 
-    group.bench_function("linear_approximation_2k_episodes", |b| {
-        let trainer = OfflineTrainer::new(&w.train, TrainerConfig::fast());
-        let config = LinearConfig {
-            episodes: 2_000,
-            ..LinearConfig::default()
-        };
-        b.iter(|| std::hint::black_box(train_linear(&trainer, w.top_type, &config).is_some()))
-    });
-
     group.finish();
 }
 
@@ -243,7 +233,7 @@ fn dense_loop_allocs(trainer: &OfflineTrainer, et: ErrorType, sweeps: u64) -> u6
     let table = DenseQTable::new(env.num_states(), env.num_actions());
     let mut rng = StdRng::seed_from_u64(LOOP_SEED);
     let before = ALLOCS.load(Ordering::Relaxed);
-    let result = driver.train_dense(&mut env, &mut rng, table);
+    let result = driver.train_dense(&mut env, &mut rng, table, &NoopObserver);
     let allocs = ALLOCS.load(Ordering::Relaxed) - before;
     assert_eq!(result.episodes, sweeps, "dense run stopped early");
     allocs
@@ -272,7 +262,11 @@ fn main() {
         let mut env = trainer.dense_replay_env(et).expect("type has processes");
         let table = DenseQTable::new(env.num_states(), env.num_actions());
         let mut rng = StdRng::seed_from_u64(LOOP_SEED);
-        std::hint::black_box(driver.train_dense(&mut env, &mut rng, table).episodes);
+        std::hint::black_box(
+            driver
+                .train_dense(&mut env, &mut rng, table, &NoopObserver)
+                .episodes,
+        );
     });
     let hash_per_s = LONG_SWEEPS as f64 / (hash_ms / 1e3);
     let dense_per_s = LONG_SWEEPS as f64 / (dense_ms / 1e3);

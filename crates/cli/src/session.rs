@@ -24,6 +24,8 @@ pub struct Session {
     /// Telemetry handle; enabled when `--metrics-out` or
     /// `--metrics-listen` was given.
     pub telemetry: Telemetry,
+    /// The `--metrics-out` path, named in the write-failure warning.
+    metrics_out: Option<String>,
     /// The live exposition server, when `--metrics-listen` was given.
     server: Option<HttpServer>,
     /// How long [`Session::finish`] keeps the server up after the
@@ -78,6 +80,7 @@ impl Session {
         };
         let session = Session {
             telemetry,
+            metrics_out: args.flag("metrics-out").map(str::to_owned),
             server,
             linger: Duration::from_secs_f64(linger_secs),
             format,
@@ -124,9 +127,16 @@ impl Session {
     /// Writes the final metrics snapshot, flushes the sink, and — when a
     /// live server is up — keeps it reachable for `--serve-linger`, then
     /// closes the bus so `/events` streams terminate cleanly. Called
-    /// once after the subcommand returns.
+    /// once after the subcommand returns. A failed `--metrics-out` write
+    /// is reported as one warning; it never changes the exit status.
     pub fn finish(&self) {
         self.telemetry.finish();
+        if let (Some(path), Some(kind)) = (&self.metrics_out, self.telemetry.sink_error_kind()) {
+            self.log(
+                "warn",
+                &format!("warning: --metrics-out {path}: events were lost ({kind})"),
+            );
+        }
         if let Some(server) = &self.server {
             if !self.linger.is_zero() {
                 std::thread::sleep(self.linger);

@@ -290,6 +290,44 @@ fn metrics_out_writes_jsonl_with_phase_spans() {
     std::fs::remove_file(&metrics).ok();
 }
 
+/// A `--metrics-out` target that fails every write (`/dev/full`) costs
+/// the events, not the run: the command still succeeds and one warning
+/// names the path and the I/O error.
+#[test]
+fn metrics_out_write_failure_is_reported_without_failing_the_run() {
+    if !Path::new("/dev/full").exists() {
+        return;
+    }
+    let log = tmp("devfull.log");
+    let policy = tmp("devfull.policy");
+    generate_log(&log);
+    let out = bin()
+        .args([
+            "train",
+            log.to_str().unwrap(),
+            "--out",
+            policy.to_str().unwrap(),
+            "--method",
+            "tree",
+            "--top",
+            "4",
+            "--metrics-out",
+            "/dev/full",
+        ])
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{stderr}");
+    let warnings: Vec<&str> = stderr
+        .lines()
+        .filter(|l| l.contains("--metrics-out /dev/full"))
+        .collect();
+    assert_eq!(warnings.len(), 1, "{stderr}");
+    assert!(warnings[0].contains("lost"), "{stderr}");
+    std::fs::remove_file(&log).ok();
+    std::fs::remove_file(&policy).ok();
+}
+
 #[test]
 fn log_format_json_renders_progress_as_jsonl() {
     let log = tmp("jsonlog.log");
@@ -659,7 +697,7 @@ fn loop_table_reports_window_status() {
 }
 
 #[test]
-fn loop_summary_includes_pool_and_fallback_counters() {
+fn loop_summary_includes_fallback_counters() {
     let out = bin()
         .args(["loop", "--windows", "2", "--scale", "0.005"])
         .output()
@@ -670,11 +708,7 @@ fn loop_summary_includes_pool_and_fallback_counters() {
         String::from_utf8_lossy(&out.stderr)
     );
     let text = String::from_utf8_lossy(&out.stdout).to_string();
-    assert!(text.contains("pool: "), "{text}");
-    assert!(text.contains("panics"), "{text}");
-    assert!(text.contains("retries"), "{text}");
-    assert!(text.contains("exhausted"), "{text}");
-    assert!(text.contains("fallbacks"), "{text}");
+    assert!(text.contains("loop: 0 fallbacks"), "{text}");
 }
 
 /// The CLI-level purity check of the live observability plane: a loop

@@ -274,20 +274,25 @@ pub fn parse_log_with_policy(
     let ranges = chunk_ranges(lines.len(), INGEST_SHARDS);
     let shards = {
         let _span = telemetry.span("parse_shards");
-        pool.map_indexed_traced(ranges.len(), telemetry, "shard", |i| {
-            let range = ranges[i].clone();
-            let mut symptoms = SymptomCatalog::new();
-            let mut report = QuarantineReport::default();
-            let numbered = (range.start + 1..).zip(lines[range].iter().copied());
-            let entries = read_entries(numbered, &mut symptoms, |line, raw, error| {
-                if policy == ParseErrorPolicy::Fail {
-                    return Err(error.at_line(line));
-                }
-                report.record(line, &error, raw, retain);
-                Ok(())
-            })?;
-            Ok((entries, symptoms, report))
-        })
+        pool.map_indexed_traced(
+            ranges.len(),
+            telemetry,
+            |_| "shard",
+            |i| {
+                let range = ranges[i].clone();
+                let mut symptoms = SymptomCatalog::new();
+                let mut report = QuarantineReport::default();
+                let numbered = (range.start + 1..).zip(lines[range].iter().copied());
+                let entries = read_entries(numbered, &mut symptoms, |line, raw, error| {
+                    if policy == ParseErrorPolicy::Fail {
+                        return Err(error.at_line(line));
+                    }
+                    report.record(line, &error, raw, retain);
+                    Ok(())
+                })?;
+                Ok((entries, symptoms, report))
+            },
+        )
     };
     let _span = telemetry.span("merge_entries");
     let mut symptoms = SymptomCatalog::new();
@@ -341,9 +346,12 @@ pub fn split_processes(
     let entries = log.entries();
     let extracted = {
         let _span = telemetry.span("split_shards");
-        pool.map_indexed_traced(INGEST_SHARDS, telemetry, "shard", |s| {
-            extract_processes(entries, |m| m.index() as usize % INGEST_SHARDS == s)
-        })
+        pool.map_indexed_traced(
+            INGEST_SHARDS,
+            telemetry,
+            |_| "shard",
+            |s| extract_processes(entries, |m| m.index() as usize % INGEST_SHARDS == s),
+        )
     };
     let _span = telemetry.span("merge_processes");
     let mut processes: Vec<RecoveryProcess> = extracted.into_iter().flatten().collect();

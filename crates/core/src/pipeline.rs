@@ -300,9 +300,9 @@ pub struct LoopControls<'a> {
 ///   tracks the loop phase and last window. Every window lands in the
 ///   `loop.window.ms` wall-time histogram, and a `window` event carries
 ///   the window summary (status, fallback reason, Q-delta tail of the
-///   retraining step, cumulative pool panic/retry and loop fallback
-///   counters). All event fields are wall-clock-free and thread-count
-///   invariant, so event streams are byte-identical across `--threads`.
+///   retraining step, cumulative loop fallback counter). All event
+///   fields are wall-clock-free and thread-count invariant, so event
+///   streams are byte-identical across `--threads`.
 /// * **`window_observer`** — called with the window index before each
 ///   retraining step; the handle it returns rides along with the
 ///   telemetry observer for that retraining only. This is how the CLI
@@ -536,9 +536,6 @@ pub fn run_continuous_loop_controlled(
                             .map_or("", FallbackReason::label),
                     )
                     .with("q_delta_tail", q_delta_tail)
-                    .with("pool_panics", counter("pool.panics"))
-                    .with("pool_retries", counter("pool.retries"))
-                    .with("pool_exhausted", counter("pool.exhausted"))
                     .with("fallbacks", counter("loop.fallbacks")),
             );
         }

@@ -1,6 +1,5 @@
 //! Recovery policies over MDP states: trained, user-defined, and hybrid.
 
-use std::collections::HashSet;
 use std::fmt;
 
 use recovery_mdp::QTable;
@@ -68,14 +67,6 @@ impl TrainedPolicy {
     /// The expected cost-to-go of the greedy action in `state`, if known.
     pub fn expected_cost(&self, state: &RecoveryState) -> Option<f64> {
         self.q.min_value(state, &RepairAction::ALL)
-    }
-
-    /// The error types this policy has any knowledge of.
-    pub fn known_types(&self) -> Vec<ErrorType> {
-        let set: HashSet<ErrorType> = self.q.iter().map(|((s, _), _, _)| s.error_type()).collect();
-        let mut v: Vec<ErrorType> = set.into_iter().collect();
-        v.sort();
-        v
     }
 
     /// Whether this policy can decide the *initial* state of `et` — the
@@ -285,7 +276,6 @@ mod tests {
         let p = trained_for_type_0();
         assert!(p.covers_type(et(0)));
         assert!(!p.covers_type(et(7)));
-        assert_eq!(p.known_types(), vec![et(0)]);
     }
 
     #[test]

@@ -173,7 +173,7 @@ impl<'t, 'a> SelectionTreeTrainer<'t, 'a> {
         let mut stable = 0usize;
         let mut converged = false;
         let snapshot = loop {
-            let result = driver.train_dense_observed(&mut env, &mut rng, q, observer);
+            let result = driver.train_dense(&mut env, &mut rng, q, observer);
             q = result.q;
             sweeps += result.episodes;
             let snapshot = self.candidate_snapshot(et, |s| {
@@ -247,16 +247,12 @@ impl<'t, 'a> SelectionTreeTrainer<'t, 'a> {
     pub fn train(&self, types: &[ErrorType]) -> (TrainedPolicy, Vec<TypeTrainingStats>) {
         // Same per-type worker spans as `OfflineTrainer::train`: label
         // by type, rank by position, so the trace tree is invariant.
-        let telemetry = self.trainer.telemetry();
-        let ctx = telemetry.trace_context();
-        let outcomes = self.trainer.pool().map_indexed(types.len(), |i| {
-            let _span = telemetry.worker_span(
-                ctx.as_ref(),
-                &OfflineTrainer::type_label(types[i]),
-                i as u64,
-            );
-            self.train_type(types[i])
-        });
+        let outcomes = self.trainer.pool().map_indexed_traced(
+            types.len(),
+            self.trainer.telemetry(),
+            |i| OfflineTrainer::type_label(types[i]),
+            |i| self.train_type(types[i]),
+        );
         let mut policy = TrainedPolicy::default();
         let mut stats = Vec::new();
         for outcome in outcomes.into_iter().flatten() {

@@ -214,9 +214,8 @@ pub struct TypeTrainingStats {
 ///
 /// Obtained from [`OfflineTrainer::replay_env`]. Production training
 /// runs on its packed-state twin [`DenseReplayEnv`]; this generic view
-/// serves the linear approximation of [`crate::approx`], the hash-table
-/// reference learners the dense path is byte-compared against in tests,
-/// and user experiments.
+/// serves the hash-table reference learners the dense path is
+/// byte-compared against in tests, and user experiments.
 pub struct ReplayEnv<'a> {
     platform: &'a SimulationPlatform,
     processes: &'a [&'a RecoveryProcess],
@@ -580,7 +579,11 @@ impl<'a> OfflineTrainer<'a> {
         &self,
         et: ErrorType,
     ) -> Option<(QTable<RecoveryState, RepairAction>, TypeTrainingStats)> {
-        self.train_type_from(et, QTable::new())
+        self.train_type_with(et, |env, learning| {
+            let table = DenseQTable::new(env.codec().num_states(), RepairAction::COUNT);
+            let mut rng = StdRng::seed_from_u64(self.type_seed(et, 0x000_AC710));
+            QLearning::new(learning).train_dense(env, &mut rng, table, &self.observer)
+        })
     }
 
     /// Trains one error type starting from a Q-table *seeded with the
@@ -595,21 +598,12 @@ impl<'a> OfflineTrainer<'a> {
         et: ErrorType,
     ) -> Option<(QTable<RecoveryState, RepairAction>, TypeTrainingStats)> {
         let seed = self.user_policy_seed(et)?;
-        self.train_type_from(et, seed)
-    }
-
-    /// Trains one error type from an explicit initial Q-table.
-    pub fn train_type_from(
-        &self,
-        et: ErrorType,
-        initial: QTable<RecoveryState, RepairAction>,
-    ) -> Option<(QTable<RecoveryState, RepairAction>, TypeTrainingStats)> {
         self.train_type_with(et, |env, learning| {
             let codec = *env.codec();
             let mut table = DenseQTable::new(codec.num_states(), RepairAction::COUNT);
-            table.absorb_qtable(&initial, |s| codec.encode(&s.tried()), |a| a.index());
+            table.absorb_qtable(&seed, |s| codec.encode(&s.tried()), |a| a.index());
             let mut rng = StdRng::seed_from_u64(self.type_seed(et, 0x000_AC710));
-            QLearning::new(learning).train_dense_observed(env, &mut rng, table, &self.observer)
+            QLearning::new(learning).train_dense(env, &mut rng, table, &self.observer)
         })
     }
 
@@ -671,7 +665,7 @@ impl<'a> OfflineTrainer<'a> {
     /// default ladder from the initial state, each visited state's ladder
     /// action is pre-set to its expected cost-to-go under the platform's
     /// empirical averages and required-action distribution.
-    pub fn user_policy_seed(&self, et: ErrorType) -> Option<QTable<RecoveryState, RepairAction>> {
+    fn user_policy_seed(&self, et: ErrorType) -> Option<QTable<RecoveryState, RepairAction>> {
         let processes = self.by_type.get(&et)?;
         let model = crate::exact::EmpiricalTypeModel::new(et, processes, &self.platform);
         let ladder = crate::policy::UserStatePolicy::default();
@@ -707,13 +701,12 @@ impl<'a> OfflineTrainer<'a> {
         // Each worker records a span named by its type label, ranked by
         // position in `types`, so the trace tree shows per-type training
         // in ranking order for any thread count.
-        let ctx = self.telemetry.trace_context();
-        let fragments = self.pool.map_indexed(types.len(), |i| {
-            let _span =
-                self.telemetry
-                    .worker_span(ctx.as_ref(), &Self::type_label(types[i]), i as u64);
-            self.train_type(types[i])
-        });
+        let fragments = self.pool.map_indexed_traced(
+            types.len(),
+            &self.telemetry,
+            |i| Self::type_label(types[i]),
+            |i| self.train_type(types[i]),
+        );
         let mut policy = TrainedPolicy::default();
         let mut all_stats = Vec::new();
         for (q, stats) in fragments.into_iter().flatten() {

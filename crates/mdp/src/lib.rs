@@ -58,7 +58,6 @@ mod double_q;
 mod env;
 mod qlearning;
 mod qtable;
-mod sarsa;
 mod tabular;
 
 pub use boltzmann::{BoltzmannSelector, TemperatureCourse, TemperatureSchedule};
@@ -67,7 +66,6 @@ pub use double_q::DoubleQLearning;
 pub use env::{Environment, SampledMdp, Step};
 pub use qlearning::{QLearning, QLearningConfig, TrainResult};
 pub use qtable::QTable;
-pub use sarsa::Sarsa;
 pub use tabular::{value_iteration, TabularMdp, ValueIterationResult};
 
 #[cfg(test)]

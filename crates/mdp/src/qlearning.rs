@@ -18,7 +18,7 @@
 //! convergence is the metric of the paper's Figure 13.
 
 use rand::Rng;
-use recovery_telemetry::{NoopObserver, TrainingObserver};
+use recovery_telemetry::TrainingObserver;
 
 use crate::boltzmann::{BoltzmannSelector, TemperatureCourse, TemperatureSchedule};
 use crate::dense::{DenseEnvironment, DenseQTable, DenseStep, DenseTrainResult};
@@ -155,7 +155,7 @@ impl QLearning {
     /// extension).
     ///
     /// This generic hash-table loop is the reference implementation: the
-    /// production trainer runs [`QLearning::train_dense_observed`], which
+    /// production trainer runs [`QLearning::train_dense`], which
     /// tests byte-compare against this loop.
     pub fn train_from<E, R>(
         &self,
@@ -270,17 +270,9 @@ impl QLearning {
 
     /// [`QLearning::train_from`] over the dense (flat-array) backend:
     /// packed integer states, no hashing, no per-episode allocation.
-    pub fn train_dense<E, R>(&self, env: &mut E, rng: &mut R, q: DenseQTable) -> DenseTrainResult
-    where
-        E: DenseEnvironment,
-        R: Rng + ?Sized,
-    {
-        self.train_dense_observed(env, rng, q, &NoopObserver)
-    }
-
-    /// [`QLearning::train_dense`] with telemetry: fires
-    /// [`TrainingObserver`] hooks for every sweep (temperature, episode
-    /// walk, max Q-delta, convergence window). Observation is passive —
+    /// `observer` receives [`TrainingObserver`] hooks for every sweep
+    /// (temperature, episode walk, max Q-delta, convergence window);
+    /// unobserved callers pass `&NoopObserver`. Observation is passive —
     /// hooks receive scalar copies and never touch the RNG — so the
     /// table is byte-identical to the unobserved run's.
     ///
@@ -294,7 +286,7 @@ impl QLearning {
     /// mechanical: Q reads/updates are array indexing, and the
     /// trajectory, action, cost, and softmax-weight buffers are
     /// allocated once per call and reused across every episode.
-    pub fn train_dense_observed<E, R, O>(
+    pub fn train_dense<E, R, O>(
         &self,
         env: &mut E,
         rng: &mut R,
@@ -435,6 +427,7 @@ mod tests {
     use crate::tabular::{value_iteration, TabularMdp};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use recovery_telemetry::NoopObserver;
 
     fn chain() -> TabularMdp {
         let mut mdp = TabularMdp::new(3, 2);
@@ -578,6 +571,7 @@ mod tests {
                 &mut dense_env,
                 &mut StdRng::seed_from_u64(9 + seed),
                 DenseQTable::new(mdp.n_states(), mdp.n_actions()),
+                &NoopObserver,
             );
             assert_eq!(hash.episodes, dense.episodes, "seed {seed}");
             assert_eq!(hash.converged, dense.converged, "seed {seed}");

@@ -301,6 +301,16 @@ impl Telemetry {
         }
     }
 
+    /// The kind of the first I/O error the JSONL sink ran into, if any
+    /// (see [`JsonlSink::last_error_kind`]): at least one event line may
+    /// be missing from the sink's file. `None` without a sink.
+    pub fn sink_error_kind(&self) -> Option<std::io::ErrorKind> {
+        self.inner
+            .as_deref()
+            .and_then(|inner| inner.sink.as_ref())
+            .and_then(JsonlSink::last_error_kind)
+    }
+
     /// Milliseconds elapsed since this handle was created.
     fn elapsed_ms(&self) -> f64 {
         self.inner

@@ -1,12 +1,10 @@
 //! Policy shoot-out: every policy in the workspace evaluated on the same
 //! held-out test set — the user-defined ladder, tabular Q-learning,
-//! the selection-tree scan, the linear Q-approximation extension, and the
-//! per-type exact-DP oracle (the best any replay policy can do on the
-//! training evidence).
+//! the selection-tree scan, and the per-type exact-DP oracle (the best
+//! any replay policy can do on the training evidence).
 //!
 //! Run with: `cargo run --release --example policy_comparison`
 
-use recovery_core::approx::{train_linear, LinearConfig, LinearPolicy};
 use recovery_core::evaluate::{evaluate, time_ordered_split};
 use recovery_core::exact::EmpiricalTypeModel;
 use recovery_core::experiment::ExperimentContext;
@@ -55,15 +53,6 @@ fn main() {
     let tree = SelectionTreeTrainer::new(&trainer, SelectionTreeConfig::default());
     let (tree_policy, _) = tree.train(&ctx.types);
 
-    // Linear Q-approximation (the paper's §7 future-work extension).
-    eprintln!("training the linear approximation ...");
-    let mut linear = LinearPolicy::new();
-    for &et in &ctx.types {
-        if let Some(model) = train_linear(&trainer, et, &LinearConfig::default()) {
-            linear.insert(model);
-        }
-    }
-
     // The exact-DP oracle over the same training evidence.
     let mut oracle = OraclePolicy::default();
     for &et in &ctx.types {
@@ -81,7 +70,6 @@ fn main() {
         ("user-defined", &user),
         ("tabular-q", &tabular),
         ("selection-tree", &tree_policy),
-        ("linear-approx", &linear),
         ("exact-dp-oracle", &oracle),
     ];
     for (name, policy) in &rows {

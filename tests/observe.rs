@@ -10,14 +10,19 @@ use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
 
+use recovery_core::evaluate::time_ordered_split;
+use recovery_core::experiment::{sweep_comparison, ExperimentContext, TestRunConfig};
 use recovery_core::fault::LoopFaultPlan;
 use recovery_core::persist::policy_to_text;
 use recovery_core::pipeline::{
     run_continuous_loop_controlled, ContinuousLoopConfig, LoopControls, LoopRun,
 };
-use recovery_core::trainer::TrainerConfig;
+use recovery_core::selection_tree::{SelectionTreeConfig, SelectionTreeTrainer};
+use recovery_core::trainer::{OfflineTrainer, TrainerConfig};
 use recovery_diagnostics::DiagnosticsRecorder;
-use recovery_simlog::{CatalogConfig, ClusterConfig, FaultCatalog, SimDuration};
+use recovery_simlog::{
+    CatalogConfig, ClusterConfig, FaultCatalog, GeneratorConfig, LogGenerator, SimDuration,
+};
 use recovery_telemetry::{Event, EventBus, HttpServer, ObserverHandle, Telemetry};
 
 fn small_cluster() -> ClusterConfig {
@@ -121,9 +126,6 @@ fn live_observability_does_not_change_loop_outcomes_or_policy() {
         for line in &window_events {
             for field in [
                 "\"q_delta_tail\":",
-                "\"pool_panics\":",
-                "\"pool_retries\":",
-                "\"pool_exhausted\":",
                 "\"fallbacks\":",
                 "\"fallback_reason\":",
             ] {
@@ -139,7 +141,7 @@ fn live_observability_does_not_change_loop_outcomes_or_policy() {
 }
 
 /// Window events must be byte-identical across thread counts — the
-/// enriched fields (Q-delta tail, cumulative pool/loop counters) carry
+/// enriched fields (Q-delta tail, cumulative loop counters) carry
 /// no wall-clock and no thread-dependent state.
 #[test]
 fn enriched_window_events_are_byte_identical_across_thread_counts() {
@@ -474,6 +476,87 @@ fn trace_tree_skeletons_are_byte_identical_across_thread_counts() {
             .any(|l| l.starts_with("  ") && l.contains("type")),
         "retrain trace has no nested per-type worker spans: {retrain}"
     );
+}
+
+/// Records the trace `run` produces under a `fanout` root span at 1 and
+/// at 4 threads, and asserts the two skeletons are identical and hold
+/// one `typeN` worker span per label, in order.
+fn assert_fan_out_is_thread_count_invariant(
+    name: &str,
+    labels: &[String],
+    run: impl Fn(&Telemetry, usize),
+) {
+    let skeleton_at = |threads: usize| {
+        let telemetry = Telemetry::new();
+        {
+            let _root = telemetry.span("fanout");
+            run(&telemetry, threads);
+        }
+        telemetry
+            .last_trace()
+            .expect("the root span closes a trace")
+            .skeleton()
+    };
+    let one = skeleton_at(1);
+    assert_eq!(
+        one,
+        skeleton_at(4),
+        "{name}: trace tree depends on the thread count"
+    );
+    let type_spans: Vec<&str> = one
+        .lines()
+        .filter_map(|l| l.trim_start().split_once(' ').map(|(_, span)| span))
+        .filter(|span| {
+            span.strip_prefix("type")
+                .is_some_and(|n| n.parse::<u32>().is_ok())
+        })
+        .collect();
+    assert_eq!(
+        type_spans, labels,
+        "{name}: one ranked span per type\n{one}"
+    );
+}
+
+/// The per-type fan-outs of `OfflineTrainer::train`,
+/// `SelectionTreeTrainer::train` and `sweep_comparison` record the same
+/// trace tree at 1 and 4 threads, with one worker span per trained type
+/// in ranking order.
+#[test]
+fn traced_training_fan_outs_are_thread_count_invariant() {
+    let mut generated = LogGenerator::new(GeneratorConfig::small()).generate();
+    let ctx = ExperimentContext::prepare(generated.log.split_processes(), 0.1, 6);
+    let (train, _) = time_ordered_split(&ctx.clean, 0.4);
+    let mut trainer_config = TrainerConfig::fast();
+    trainer_config.learning.max_episodes = 2_000;
+    let labels: Vec<String> = ctx
+        .types
+        .iter()
+        .map(|&et| OfflineTrainer::type_label(et))
+        .collect();
+    assert!(labels.len() > 1, "need several types to fan out");
+    let trainer_at = |telemetry: &Telemetry, threads: usize| {
+        OfflineTrainer::new(train, trainer_config.clone())
+            .with_threads(threads)
+            .with_telemetry(telemetry.clone())
+    };
+
+    assert_fan_out_is_thread_count_invariant("train", &labels, |telemetry, threads| {
+        let _ = trainer_at(telemetry, threads).train(&ctx.types);
+    });
+    assert_fan_out_is_thread_count_invariant("tree", &labels, |telemetry, threads| {
+        let trainer = trainer_at(telemetry, threads);
+        let _ =
+            SelectionTreeTrainer::new(&trainer, SelectionTreeConfig::default()).train(&ctx.types);
+    });
+    assert_fan_out_is_thread_count_invariant("sweep", &labels, |telemetry, threads| {
+        let config = TestRunConfig {
+            top_k: 6,
+            threads,
+            ..TestRunConfig::new(0.4)
+        }
+        .with_trainer(trainer_config.clone());
+        let _ = sweep_comparison(&config, &SelectionTreeConfig::default(), &ctx, telemetry);
+    });
 }
 
 /// The headline acceptance bar: a loop with the works attached — trace

@@ -20,6 +20,7 @@ use recovery_simlog::{
     ActionRecord, LogEntry, LogEvent, MachineId, RecoveryLog, RecoveryProcess, RepairAction,
     SimTime, SymptomId,
 };
+use recovery_telemetry::NoopObserver;
 
 // ---------- generators ----------
 
@@ -338,7 +339,12 @@ proptest! {
         let hash = driver.train(&mut henv, &mut StdRng::seed_from_u64(seed ^ 0x5A));
         let mut denv = SampledMdp::new(&mdp, StdRng::seed_from_u64(seed ^ 0xA5), vec![0]);
         let table = DenseQTable::new(mdp.n_states(), mdp.n_actions());
-        let dense = driver.train_dense(&mut denv, &mut StdRng::seed_from_u64(seed ^ 0x5A), table);
+        let dense = driver.train_dense(
+            &mut denv,
+            &mut StdRng::seed_from_u64(seed ^ 0x5A),
+            table,
+            &NoopObserver,
+        );
         prop_assert_eq!(hash.episodes, dense.episodes);
         prop_assert_eq!(hash.converged, dense.converged);
         prop_assert_eq!(hash.q.len(), dense.q.len());
